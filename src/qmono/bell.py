@@ -199,16 +199,18 @@ def mk_optimize(
     return -best_val, MKSettings.from_angles(best_x)
 
 
-def mk_symmetric_closed_form(theta: float, alpha: float, kappa: float, nu: float = 0.0) -> float:
+def mk_symmetric_closed_form(theta, alpha, kappa, nu=0.0):
     """Bell-operator average for the symmetric two-branch family.
 
     4 sin^3(alpha) sin(theta) [cos(nu) (cos(theta) cos(kappa)
         + cos^3(alpha) sin(theta)) + cos(theta) sin(nu) sin(kappa)].
 
     nu parametrizes the (unspecified) measurement family; reproductions of
-    the violation region fix nu = 0.
+    the violation region fix nu = 0.  Arguments broadcast as arrays; scalar
+    arguments give a float.
     """
-    return float(
+    theta, alpha, kappa, nu = (np.asarray(x, dtype=float) for x in (theta, alpha, kappa, nu))
+    value = (
         4.0
         * np.sin(alpha) ** 3
         * np.sin(theta)
@@ -217,3 +219,4 @@ def mk_symmetric_closed_form(theta: float, alpha: float, kappa: float, nu: float
             + np.cos(theta) * np.sin(nu) * np.sin(kappa)
         )
     )
+    return float(value) if value.ndim == 0 else value

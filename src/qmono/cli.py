@@ -100,6 +100,9 @@ def _cmd_measures(ns) -> int:
 
 def _cmd_scan(ns) -> int:
     names = FAMILY_PARAMS[ns.family]
+    malformed = [kv for kv in ns.axis if "=" not in kv]
+    if malformed:
+        raise SystemExit2(f"--axis {malformed[0]!r} is not NAME=SPEC")
     specs = dict(kv.split("=", 1) for kv in ns.axis)
     unknown = set(specs) - set(names)
     if unknown:
@@ -141,6 +144,8 @@ def _cmd_surface(ns) -> int:
 
 
 def _cmd_path(ns) -> int:
+    if ns.resolution < 2:
+        raise SystemExit2(f"--resolution must be >= 2, got {ns.resolution}")
     records = path_trace(
         ns.id, ns.resolution, epsilon=ns.epsilon, mk_mode=ns.mk,
         mk_restarts=ns.restarts, seed=ns.seed,
@@ -156,9 +161,9 @@ def _cmd_path(ns) -> int:
 
 
 def _cmd_sample(ns) -> int:
-    summary = sample_experiment(
-        ns.n, ns.seed, epsilon=ns.epsilon, jobs=ns.jobs, per_sample_path=ns.output
-    )
+    if ns.n < 1:
+        raise SystemExit2(f"-n must be >= 1, got {ns.n}")
+    summary = sample_experiment(ns.n, ns.seed, epsilon=ns.epsilon, per_sample_path=ns.output)
     print(
         f"n={summary.n} seed={summary.seed} epsilon={summary.epsilon:g} "
         f"band_count={summary.band_count} "
@@ -254,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Haar-random sampling experiment")
     p.add_argument("-n", type=int, required=True, help="number of samples")
     p.add_argument("--epsilon", type=float, default=1e-3, help="zero-band half width")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap for chunked evaluation")
     p.add_argument("-o", "--output", help="per-sample CSV path")
     p.add_argument("--summary-json", help="write the summary as JSON here")
     common(p)

@@ -23,9 +23,6 @@ from .qcore import (
     Bipartition,
     DensityMatrix,
     PureState,
-    _ptrace_raw,
-    binary_entropy,
-    clamped_eigvalsh,
     entropy_of_spectrum,
     partial_trace,
     permute_parties,
@@ -35,7 +32,8 @@ from .qcore import (
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAULI = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])  # s_0 = I, s_1..s_3
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 _PURITY_TOL = 1e-12
 _XLOG_FLOOR = 1e-15
@@ -148,27 +146,64 @@ def unitary_basis(angles, subsystem=("B", "C")) -> MeasurementBasis:
     return MeasurementBasis(tuple(subsystem), projs, tuple(angles))
 
 
+# --- 2x2 spectra and entropies ---------------------------------------------
+#
+# Elementwise, so one copy serves whole batches and the batches of one that
+# the scalar API passes.
+
+
+def _xlog2x(x) -> np.ndarray:
+    return np.where(x > _XLOG_FLOOR, x * np.log2(np.maximum(x, _XLOG_FLOOR)), 0.0)
+
+
+def _eig2(m00, m01, m11):
+    """Eigenvalues (larger, smaller) of the Hermitian [[m00, m01], [m01*, m11]]."""
+    half_t = (m00 + m11).real / 2
+    disc = np.sqrt(np.maximum(((m00 - m11).real / 2) ** 2 + np.abs(m01) ** 2, 0.0))
+    return half_t + disc, half_t - disc
+
+
+def _eig2_entropy(m00, m01, m11):
+    """-sum e log2 e over the (clipped) eigenvalues e of the 2x2 Hermitian above."""
+    e1, e2 = _eig2(m00, m01, m11)
+    return -_xlog2x(np.maximum(e1, 0.0)) - _xlog2x(np.maximum(e2, 0.0))
+
+
 # --- two-qubit closed forms --------------------------------------------------
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
+def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
+    """Two-qubit concurrence max{0, l1 - l2 - l3 - l4} over a (K, 4, 4) stack.
 
     The l_i are the square roots of the eigenvalues of rho * rho~ in
     decreasing order, rho~ = (sy (x) sy) rho* (sy (x) sy) with conjugation in
     the computational basis.  Computed through the Hermitian sandwich
     sqrt(rho) rho~ sqrt(rho), which keeps every eigensolve Hermitian.
     """
+    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    w, v = np.linalg.eigh(rhos)
+    sq = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+    m = sq @ (_YY @ np.conj(rhos) @ _YY) @ sq
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))
+    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    """Two-qubit concurrence of one state: a batch of one of ``concurrence_batch``."""
     if rho.dims != (2, 2):
         raise ValueError("concurrence is defined for two-qubit states")
-    m = rho.matrix
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    m_tilde = yy @ m.conj() @ yy
-    w, v = np.linalg.eigh(m)
-    sqrt_m = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lam_sq = clamped_eigvalsh(sqrt_m @ m_tilde @ sqrt_m)
-    lam = np.sqrt(lam_sq)[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(concurrence_batch(rho.matrix)[0])
+
+
+def eof_batch(c) -> np.ndarray:
+    """Entanglement of formation H((1 + sqrt(1 - C^2)) / 2) for an array of concurrences.
+
+    The smaller branch probability is written as C^2 / (2 (1 + sqrt(1 - C^2))),
+    which keeps its relative precision as C goes to 0.
+    """
+    c2 = np.asarray(c, dtype=float) ** 2
+    p = c2 / (2.0 * (1.0 + np.sqrt(np.clip(1.0 - c2, 0.0, None))))
+    return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
 def eof_pure(psi: PureState, cut: Bipartition) -> float:
@@ -178,10 +213,8 @@ def eof_pure(psi: PureState, cut: Bipartition) -> float:
 
 
 def eof_two_qubit(rho: DensityMatrix) -> float:
-    """Entanglement of formation H((1 + sqrt(1 - C^2)) / 2) of a 2-qubit state."""
-    c = concurrence(rho)
-    h = (1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0
-    return binary_entropy(h)
+    """Entanglement of formation of a 2-qubit state: a batch of one of ``eof_batch``."""
+    return float(eof_batch(concurrence(rho)))
 
 
 def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
@@ -195,52 +228,34 @@ def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
 # --- measured conditional entropy: vectorized qubit kernel -------------------
 #
 # For a (K, 4, 4) stack of two-qubit states with the SECOND qubit measured
-# along the Bloch direction n, the unnormalized conditional operators are
-# M_pm = (rho_A +- n . T) / 2 with T_j[a,a'] = sum_{b,b'} rho[ab,a'b'] s_j[b',b].
-# The objective sum_pm p S(M/p) then has a closed form through 2x2 eigenvalues,
-# so whole grids of directions (and whole batches of states) evaluate at once.
+# along the Bloch direction n, write R[m, j] = tr(rho s_m (x) s_j) with s_0 = I.
+# Outcome +-1 leaves the unnormalized operator M = (v_0 I + v . s) / 4 on the
+# first qubit, v = R[:, 0] +- R[:, 1:] n; its trace is v_0 / 2 and its
+# eigenvalues are (v_0 +- |v|) / 4.  The objective sum_pm p S(M/p) is
+# therefore closed form, so whole grids of directions (and whole batches of
+# states) evaluate at once.
 
-
-def _xlog2x(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    m = x > _XLOG_FLOOR
-    out[m] = x[m] * np.log2(x[m])
-    return out
+_PM = np.array([1.0, -1.0])  # the two outcomes
+# p = v_0 / 2 and the eigenvalues (v_0 +- |v|) / 4 as _V0 * v_0 + _LEN * |v|
+_V0 = np.array([0.5, 0.25, 0.25])[:, None, None, None]
+_LEN = np.array([0.0, 0.25, -0.25])[:, None, None, None]
 
 
 def _qubit_components(rhos: np.ndarray):
+    """R[:, 0] as (4, K) and R[:, 1:] as (4, K, 3) for a (K, 4, 4) stack."""
     r = np.asarray(rhos, dtype=complex).reshape(-1, 2, 2, 2, 2)
-    rho_a = np.einsum("kabcb->kac", r)
-    t = np.einsum("kabcd,jdb->kjac", r, _PAULI)
-    return (
-        rho_a[:, 0, 0], rho_a[:, 0, 1], rho_a[:, 1, 1],
-        t[:, :, 0, 0], t[:, :, 0, 1], t[:, :, 1, 1],
-    )
-
-
-def _branch_terms(m00, m01, m11):
-    t = (m00 + m11).real
-    disc = np.sqrt(np.maximum(((m00 - m11).real / 2) ** 2 + np.abs(m01) ** 2, 0.0))
-    e1 = np.clip(t / 2 + disc, 0.0, None)
-    e2 = np.clip(t / 2 - disc, 0.0, None)
-    return -_xlog2x(e1) - _xlog2x(e2) + _xlog2x(t)
+    big_r = np.einsum("kabcd,mca,jdb->mkj", r, _PAULI, _PAULI).real
+    return big_r[:, :, 0], big_r[:, :, 1:]
 
 
 def _qubit_objective(comp, nvecs: np.ndarray) -> np.ndarray:
     """Objective for directions nvecs: (G, 3) shared or (K, G, 3) per item."""
-    a00, a01, a11, t00, t01, t11 = comp
-    if nvecs.ndim == 2:
-        d00 = np.tensordot(t00, nvecs, axes=(1, 1))
-        d01 = np.tensordot(t01, nvecs, axes=(1, 1))
-        d11 = np.tensordot(t11, nvecs, axes=(1, 1))
-    else:
-        d00 = np.einsum("kj,kgj->kg", t00, nvecs)
-        d01 = np.einsum("kj,kgj->kg", t01, nvecs)
-        d11 = np.einsum("kj,kgj->kg", t11, nvecs)
-    b00, b01, b11 = a00[:, None], a01[:, None], a11[:, None]
-    f = _branch_terms((b00 + d00) / 2, (b01 + d01) / 2, (b11 + d11) / 2)
-    f += _branch_terms((b00 - d00) / 2, (b01 - d01) / 2, (b11 - d11) / 2)
-    return f
+    w0, w = comp
+    d = w @ nvecs.T if nvecs.ndim == 2 else np.einsum("mkj,kgj->mkg", w, nvecs)
+    v = w0[:, :, None, None] + d[..., None] * _PM
+    x = _xlog2x(_V0 * v[0] + _LEN * np.sqrt(v[1] ** 2 + v[2] ** 2 + v[3] ** 2))
+    f = x[0] - x[1] - x[2]
+    return f[..., 0] + f[..., 1]
 
 
 def _angle_grid(n_theta: int, n_phi: int):
@@ -320,39 +335,15 @@ def _split_for_measurement(rho: DensityMatrix, cut: Bipartition):
     return ordered.matrix, d_keep, d_meas
 
 
-def _xlog2x_scalar(x: float) -> float:
-    return x * np.log2(x) if x > _XLOG_FLOOR else 0.0
-
-
 def _measured_qubit_objective(matrix, d_keep):
     """Scalar objective (theta, phi) -> value for a measured qubit side."""
-    r = matrix.reshape(d_keep, 2, d_keep, 2)
     if d_keep == 2:
-        a00, a01, a11, t00, t01, t11 = (
-            complex(x[0]) if x.ndim == 1 else x[0] for x in _qubit_components(matrix.reshape(1, 4, 4))
-        )
+        comp = _qubit_components(matrix.reshape(1, 4, 4))
+        return lambda angles: float(_qubit_objective(comp, bloch_vector(*angles)[None, :])[0, 0])
 
-        def f(angles):
-            n = bloch_vector(angles[0], angles[1])
-            d00 = n @ t00
-            d01 = n @ t01
-            d11 = n @ t11
-            total = 0.0
-            for sgn in (1.0, -1.0):
-                m00 = (a00 + sgn * d00) / 2
-                m01 = (a01 + sgn * d01) / 2
-                m11 = (a11 + sgn * d11) / 2
-                t = (m00 + m11).real
-                disc = np.sqrt(max(((m00 - m11).real / 2) ** 2 + abs(m01) ** 2, 0.0))
-                e1 = max(t / 2 + disc, 0.0)
-                e2 = max(t / 2 - disc, 0.0)
-                total += -_xlog2x_scalar(e1) - _xlog2x_scalar(e2) + _xlog2x_scalar(t)
-            return total
-
-        return f
-
+    r = matrix.reshape(d_keep, 2, d_keep, 2)
     rho_keep = np.einsum("abcb->ac", r)
-    t = np.einsum("abcd,jdb->jac", r, _PAULI)
+    t = np.einsum("abcd,jdb->jac", r, _PAULI[1:])
 
     def f(angles):
         nd = np.tensordot(bloch_vector(angles[0], angles[1]), t, axes=(0, 0))

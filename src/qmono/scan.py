@@ -1,23 +1,25 @@
 """Experiment driver: grid sweeps, zero crossings, sampling, path traces.
 
 Everything here works on batches of three-qubit pure states with nodal
-observer A.  The per-state quantities reuse the vectorized measured
-conditional-entropy kernel from :mod:`qmono.measures`, so a sweep over 10^5
-states stays in large numpy operations.  All randomness is seed-in,
-state-out; grid orderings are row-major over the axes as given, and outputs
-are bit-identical across runs with the same inputs.
+observer A.  The per-state scores are exact closed forms: by the
+Koashi-Winter identity the minimum measured S(A|B) of a pure state equals
+E_f(AC), so delta_D = S_A - E_f(AB) - E_f(AC), with both concurrences taken
+from the rank-2 marginals' amplitudes.  A sweep over 10^5 states stays in
+large numpy operations.  All randomness is seed-in, state-out; grid
+orderings are row-major over the axes as given, and outputs are
+bit-identical across runs with the same inputs.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bell import MKSettings, mk_optimize, mk_symmetric_closed_form
-from .measures import SIGMA_Y, conditional_entropy_qubit_batch, eof_two_qubit
+from .measures import _YY, _eig2, _eig2_entropy, eof_batch, eof_two_qubit
+from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
 from .monogamy import ZERO_BAND_DEFAULT, delta_d
 from .multient import ggm
 from .qcore import PureState, binary_entropy, partial_trace
@@ -100,23 +102,11 @@ class Prop4Result:
 
 # --- vectorized per-state scores ----------------------------------------------
 
-
-def _xlog2x(x):
-    out = np.zeros_like(x)
-    m = x > 1e-15
-    out[m] = x[m] * np.log2(x[m])
-    return out
-
-
-def _eig2_entropy(r00, r01, r11):
-    t = (r00 + r11).real
-    disc = np.sqrt(np.maximum(((r00 - r11).real / 2) ** 2 + np.abs(r01) ** 2, 0.0))
-    e1 = np.clip(t / 2 + disc, 0.0, None)
-    e2 = np.clip(t / 2 - disc, 0.0, None)
-    return -_xlog2x(e1) - _xlog2x(e2)
+_CHUNK = 4096  # states per kernel call in sweeps and samples
 
 
 def _marginals(amps: np.ndarray):
+    """(rho_AB, rho_AC) stacks; the tests' Wootters checks use it, bench/spans.py times it."""
     p = amps.reshape(-1, 2, 2, 2)
     rho_ab = np.einsum("kabc,kdec->kabde", p, p.conj()).reshape(-1, 4, 4)
     rho_ac = np.einsum("kabc,kdbe->kacde", p, p.conj()).reshape(-1, 4, 4)
@@ -129,24 +119,40 @@ def _single_site(amps: np.ndarray, site: int) -> np.ndarray:
     return np.einsum(subs[site], p, p.conj())
 
 
-def pure_scores_batch(amps: np.ndarray, **kernel_kw):
-    """(delta_D, S_A, S(A|B), S(A|C)) for a (K, 8) batch, nodal A.
+def _concurrence_sq(v: np.ndarray) -> np.ndarray:
+    """C^2 of rho = V V^dagger for a (K, 4, 2) stack V: the rank-2 Wootters form.
 
-    ``kernel_kw`` tunes the conditional-entropy kernel (grid size, zoom
-    stages) when a cheaper or finer evaluation is wanted.
+    tau = V^T (sy (x) sy) V is complex symmetric and its singular values are
+    the l_i of Wootters' formula, so C^2 = ||tau||_F^2 - 2 |det tau|.
+    """
+    tau = np.swapaxes(v, 1, 2) @ (_YY @ v)
+    det = tau[:, 0, 0] * tau[:, 1, 1] - tau[:, 0, 1] * tau[:, 1, 0]
+    return np.maximum(np.sum(np.abs(tau) ** 2, axis=(1, 2)) - 2.0 * np.abs(det), 0.0)
+
+
+def pure_scores_batch(amps: np.ndarray):
+    """(delta_D, delta_C, S_A, S(A|B), S(A|C)) for a (K, 8) batch, nodal A.
+
+    Exact: S(A|B) = E_f(C_AC) and S(A|C) = E_f(C_AB) (Koashi-Winter), and
+    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, all from one pass over the
+    amplitudes.  ``measures.conditional_entropy_qubit_batch`` minimizes
+    S(A|B) over measurements instead and serves as the tests' oracle.
     """
     amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    rho_ab, rho_ac = _marginals(amps)
+    p = amps.reshape(-1, 2, 2, 2)
+    c2_ab = _concurrence_sq(p.reshape(-1, 4, 2))  # columns: qubit C fixed to 0, 1
+    c2_ac = _concurrence_sq(np.swapaxes(p, 2, 3).reshape(-1, 4, 2))  # qubit B fixed
     ra = _single_site(amps, 0)
     s_a = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])
-    cond_ab = conditional_entropy_qubit_batch(rho_ab, **kernel_kw)
-    cond_ac = conditional_entropy_qubit_batch(rho_ac, **kernel_kw)
-    return s_a - cond_ab - cond_ac, s_a, cond_ab, cond_ac
+    tangle = 4.0 * np.clip((ra[:, 0, 0] * ra[:, 1, 1]).real - np.abs(ra[:, 0, 1]) ** 2, 0.0, None)
+    cond_ab = eof_batch(np.sqrt(c2_ac))
+    cond_ac = eof_batch(np.sqrt(c2_ab))
+    return s_a - cond_ab - cond_ac, tangle - c2_ab - c2_ac, s_a, cond_ab, cond_ac
 
 
-def delta_d_batch(amps: np.ndarray, **kernel_kw) -> np.ndarray:
+def delta_d_batch(amps: np.ndarray) -> np.ndarray:
     """Pure-state discord monogamy score, nodal A, vectorized."""
-    return pure_scores_batch(amps, **kernel_kw)[0]
+    return pure_scores_batch(amps)[0]
 
 
 def ggm_batch(amps: np.ndarray) -> np.ndarray:
@@ -154,35 +160,14 @@ def ggm_batch(amps: np.ndarray) -> np.ndarray:
     lam = None
     for site in range(3):
         r = _single_site(amps, site)
-        t = (r[:, 0, 0] + r[:, 1, 1]).real
-        disc = np.sqrt(
-            np.maximum(((r[:, 0, 0] - r[:, 1, 1]).real / 2) ** 2 + np.abs(r[:, 0, 1]) ** 2, 0.0)
-        )
-        top = t / 2 + disc
+        top = _eig2(r[:, 0, 0], r[:, 0, 1], r[:, 1, 1])[0]
         lam = top if lam is None else np.maximum(lam, top)
     return 1.0 - lam
 
 
-def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
-    """Two-qubit concurrence over a (K, 4, 4) stack (Hermitian sandwich)."""
-    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    w, v = np.linalg.eigh(rhos)
-    sq = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    m = sq @ (yy @ np.conj(rhos) @ yy) @ sq
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))
-    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
-
-
 def delta_c_batch(amps: np.ndarray) -> np.ndarray:
     """Entanglement monogamy score 4 det(rho_A) - C_AB^2 - C_AC^2, vectorized."""
-    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    ra = _single_site(amps, 0)
-    tangle = 4.0 * np.clip(
-        (ra[:, 0, 0] * ra[:, 1, 1]).real - np.abs(ra[:, 0, 1]) ** 2, 0.0, None
-    )
-    rho_ab, rho_ac = _marginals(amps)
-    return tangle - concurrence_batch(rho_ab) ** 2 - concurrence_batch(rho_ac) ** 2
+    return pure_scores_batch(amps)[1]
 
 
 # --- state-family evaluation ----------------------------------------------------
@@ -238,11 +223,11 @@ def family_states(family: str, rows: np.ndarray) -> np.ndarray:
     return amps / norms[:, None]
 
 
-def _family_delta_d(family: str, rows: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def _family_delta_d(family: str, rows: np.ndarray) -> np.ndarray:
     rows = np.atleast_2d(rows)
     out = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], chunk):
-        out[i : i + chunk] = delta_d_batch(family_states(family, rows[i : i + chunk]))
+    for i in range(0, rows.shape[0], _CHUNK):
+        out[i : i + _CHUNK] = delta_d_batch(family_states(family, rows[i : i + _CHUNK]))
     return out
 
 
@@ -256,7 +241,6 @@ def grid_scan(
     mk_mode: str | None = None,
     mk_restarts: int = 24,
     seed: int = 0,
-    chunk: int = 4096,
 ) -> list[ScanRecord]:
     """One record per grid point, row-major over the axes as listed.
 
@@ -281,15 +265,14 @@ def grid_scan(
 
     records: list[ScanRecord] = []
     warm: MKSettings | None = None
-    for i in range(0, rows.shape[0], chunk):
-        part = rows[i : i + chunk]
+    for i in range(0, rows.shape[0], _CHUNK):
+        part = rows[i : i + _CHUNK]
         amps = family_states(family, part)
-        dd, s_a, cond_ab, _ = pure_scores_batch(amps)
+        dd, dc, s_a, cond_ab, _ = pure_scores_batch(amps)
         gg = ggm_batch(amps)
-        dc = delta_c_batch(amps)
         sym = 0.5 * s_a - cond_ab if family == "ghz-sym" else None
         if mk_mode == "closed":
-            mk = mk_symmetric_closed_form_vec(part[:, 0], part[:, 2], part[:, 1])
+            mk = mk_symmetric_closed_form(part[:, 0], part[:, 2], part[:, 1])
         for j in range(part.shape[0]):
             if mk_mode == "closed":
                 mk_j = float(mk[j])
@@ -312,19 +295,6 @@ def grid_scan(
     return records
 
 
-def mk_symmetric_closed_form_vec(theta, alpha, kappa, nu: float = 0.0) -> np.ndarray:
-    theta, alpha, kappa = (np.asarray(x, dtype=float) for x in (theta, alpha, kappa))
-    return (
-        4.0
-        * np.sin(alpha) ** 3
-        * np.sin(theta)
-        * (
-            np.cos(nu) * (np.cos(theta) * np.cos(kappa) + np.cos(alpha) ** 3 * np.sin(theta))
-            + np.cos(theta) * np.sin(nu) * np.sin(kappa)
-        )
-    )
-
-
 def _lockstep_bisect(eval_rows, lo, hi, f_lo, f_hi, xtol: float, max_rounds: int = 64):
     """Vectorized bisection on per-item brackets; f must change sign inside."""
     lo, hi = lo.copy(), hi.copy()
@@ -342,7 +312,14 @@ def _lockstep_bisect(eval_rows, lo, hi, f_lo, f_hi, xtol: float, max_rounds: int
     return lo, hi, f_lo, f_hi
 
 
-NOISE_FLOOR_DEFAULT = 1e-7  # batch evaluator noise sits near 1e-8
+# Brackets with an endpoint below this |delta_D| are not crossings.  The
+# closed form rounds at ~1e-15 (the Fig 2 line's alpha = 0 face reads
+# -3.2e-16), but delta_D also dies off to high order towards a degenerate
+# face (+8e-16 at alpha = 1e-4, -8.7e-9 at alpha = 0.016 on that line), so a
+# sign change there is a face contact set by rounding.  Interior crossings of
+# the Fig 2 line and the two paths keep both bracket ends above 6.7e-6 at
+# 60-400 presamples, and their counts (1, 3, 1) are the same at 1e-12 and 1e-7.
+NOISE_FLOOR_DEFAULT = 1e-7
 
 
 def find_zero_crossings(
@@ -358,8 +335,8 @@ def find_zero_crossings(
     """Sign changes of delta_D along one axis, refined by bisection.
 
     The presample brackets every strict sign change whose endpoints both
-    clear ``noise_floor``; this keeps evaluator noise around the degenerate
-    faces (where delta_D is genuinely zero) from minting crossings, and it
+    clear ``noise_floor``; this keeps rounding around the degenerate faces
+    (where delta_D is genuinely zero) from minting crossings, and it
     excludes face contacts from the interior count.  An empty list means no
     crossing was found, which is not an error.
     """
@@ -494,29 +471,17 @@ def sample_experiment(
     n: int,
     seed: int,
     epsilon: float = 1e-3,
-    chunk: int = 4096,
-    jobs: int = 1,
     per_sample_path=None,
 ) -> SampleSummary:
     """Haar-sample delta_D and GGM; band statistics with |delta_D| < epsilon."""
     if n < 1:
         raise ValueError("need n >= 1")
     amps = haar_random_amplitudes(n, seed)
-    dd = np.empty(n)
-    gg = np.empty(n)
-
-    def work(i):
-        sl = slice(i, min(i + chunk, n))
-        dd[sl] = delta_d_batch(amps[sl])
+    dd, dc, gg = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(0, n, _CHUNK):
+        sl = slice(i, i + _CHUNK)
+        dd[sl], dc[sl] = pure_scores_batch(amps[sl])[:2]
         gg[sl] = ggm_batch(amps[sl])
-
-    starts = range(0, n, chunk)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, starts))
-    else:
-        for i in starts:
-            work(i)
 
     band = np.abs(dd) < epsilon
     d_counts, d_edges = np.histogram(dd, bins=60)
@@ -531,10 +496,6 @@ def sample_experiment(
         with open(per_sample_path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["family", "p1", "delta_D", "delta_C", "ggm", "mk", "zero_band"])
-            dc = np.empty(n)
-            for i in starts:
-                sl = slice(i, min(i + chunk, n))
-                dc[sl] = delta_c_batch(amps[sl])
             for i in range(n):
                 w.writerow(
                     [
@@ -581,9 +542,8 @@ def path_trace(
     xs = np.linspace(0.0, np.pi / 2, resolution)
     rows = xs[:, None]
     amps = family_states(family, rows)
-    dd = delta_d_batch(amps)
+    dd, dc = pure_scores_batch(amps)[:2]
     gg = ggm_batch(amps)
-    dc = delta_c_batch(amps)
     records = []
     warm: MKSettings | None = None
     for i in range(resolution):

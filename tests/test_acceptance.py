@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from qmono.bell import mk_optimize
+from qmono.measures import concurrence_batch, conditional_entropy_qubit_batch, eof_batch
 from qmono.monogamy import delta_c, delta_d, kw_residual
 from qmono.multient import ggm
 from qmono.qcore import DensityMatrix, PureState, partial_trace, vn_entropy, binary_entropy
 from qmono.scan import (
-    concurrence_batch,
     delta_c_batch,
     delta_d_batch,
     family_states,
@@ -27,9 +27,7 @@ from qmono.scan import (
     pure_scores_batch,
     sample_experiment,
     surface_zero,
-    _eig2_entropy,
     _marginals,
-    _single_site,
 )
 from qmono.states import (
     ghz_state,
@@ -65,23 +63,6 @@ def surface_points():
     return surface_zero(thetas, kappas)
 
 
-def eof(c):
-    """Wootters entanglement of formation h((1 + sqrt(1 - c^2)) / 2), vectorized."""
-    h = (1.0 + np.sqrt(np.clip(1.0 - c * c, 0.0, None))) / 2.0
-    out = np.zeros_like(h)
-    m = (h > 1e-15) & (h < 1.0 - 1e-15)
-    out[m] = -h[m] * np.log2(h[m]) - (1 - h[m]) * np.log2(1 - h[m])
-    return out
-
-
-def kw_delta_d(amps):
-    """Exact pure-state score S_A - E_f(AB) - E_f(AC), nodal A (Koashi-Winter)."""
-    ra = _single_site(amps, 0)
-    s_a = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])
-    rho_ab, rho_ac = _marginals(amps)
-    return s_a - eof(concurrence_batch(rho_ab)) - eof(concurrence_batch(rho_ac))
-
-
 @pytest.fixture(scope="module")
 def band_states_10k():
     """10^4 nonsymmetric states bisected onto the delta_D = 0 band.
@@ -90,10 +71,10 @@ def band_states_10k():
     which ends at delta_D = 1.  Draws whose score changes sign on a 5-point
     mu grid are kept, whether they start negative or start positive and dip
     below zero.  The first sign change is bisected on the Koashi-Winter
-    closed form until |delta_D| <= 1e-8; every path must get there within
-    the round cap.  The states are then scored cold by the optimizer kernel
-    (``delta_d_batch`` at its defaults), a code path independent of the one
-    that placed them.
+    closed form (``delta_d_batch``) until |delta_D| <= 1e-8; every path must
+    get there within the round cap.  The states are then scored cold by the
+    grid-and-zoom optimizer, S_A - S(A|B) - S(A|C), a code path independent
+    of the one that placed them.
     """
     n_target = 10_000
     n_draws = 60_000
@@ -108,7 +89,7 @@ def band_states_10k():
 
     grid = np.linspace(0.0, np.pi / 2, 5)
     vals = np.stack(
-        [kw_delta_d(path_states(draws, np.full(n_draws, m))) for m in grid], axis=1
+        [delta_d_batch(path_states(draws, np.full(n_draws, m))) for m in grid], axis=1
     )
     change = vals[:, :-1] * vals[:, 1:] < 0
     has = change.any(axis=1)
@@ -130,7 +111,7 @@ def band_states_10k():
         if idx.size == 0:
             break
         mid = (lo[idx] + hi[idx]) / 2
-        f_mid = kw_delta_d(path_states(starts[idx], mid))
+        f_mid = delta_d_batch(path_states(starts[idx], mid))
         mus[idx] = mid
         left = f_lo[idx] * f_mid <= 0
         hi[idx] = np.where(left, mid, hi[idx])
@@ -140,7 +121,14 @@ def band_states_10k():
     n_open = int(active.sum())
     assert n_open == 0, f"{n_open} paths did not reach |delta_D| <= {stop:g} in {max_rounds} rounds"
     states = path_states(starts, mus)
-    cold = delta_d_batch(states)  # optimizer-kernel verification pass
+    cold = np.empty(n_target)  # optimizer verification pass, in chunks to bound memory
+    for i in range(0, n_target, 1000):
+        part = states[i : i + 1000]
+        rho_ab, rho_ac = _marginals(part)
+        s_a = pure_scores_batch(part)[2]
+        cold[i : i + 1000] = (
+            s_a - conditional_entropy_qubit_batch(rho_ab) - conditional_entropy_qubit_batch(rho_ac)
+        )
     return {"amps": states, "delta_d": cold}
 
 
@@ -241,7 +229,7 @@ def test_criterion_07_fig4_max_ggm():
 
 def test_criterion_08_sampling_remark():
     t0 = time.monotonic()
-    summary = sample_experiment(100_000, seed=7, epsilon=1e-3, jobs=2)
+    summary = sample_experiment(100_000, seed=7, epsilon=1e-3)
     dt = time.monotonic() - t0
     ok = (
         summary.max_ggm_in_band is not None
@@ -323,7 +311,7 @@ def test_criterion_12_prop4(surface_points, band_states_10k):
     # inequality on the random zero-band states
     amps = band_states_10k["amps"]
     rho_ab, rho_ac = _marginals(amps)
-    lhs = eof(concurrence_batch(rho_ab)) + eof(concurrence_batch(rho_ac))
+    lhs = eof_batch(concurrence_batch(rho_ab)) + eof_batch(concurrence_batch(rho_ac))
     rhs = np.array([binary_entropy(g) for g in ggm_batch(amps)])
     margin = float(np.min(lhs - rhs))
     band_ok = margin >= -1e-6 and float(np.max(np.abs(band_states_10k["delta_d"]))) < 1e-3

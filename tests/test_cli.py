@@ -104,6 +104,14 @@ class TestScanCommand:
         ])
         assert code == 2
 
+    def test_axis_without_equals_usage_error(self, tmp_path, capsys):
+        code = main([
+            "scan", "--family", "ghz-sym", "--axis", "theta0.3", "--axis", "kappa=0",
+            "--axis", "alpha=0.5", "-o", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "NAME=SPEC" in capsys.readouterr().err
+
 
 class TestPathCommand:
     def test_rows_and_sign_changes(self, tmp_path, capsys):
@@ -114,6 +122,11 @@ class TestPathCommand:
         assert "delta_D sign changes: 3" in msg
         rows = list(csv.reader(out.open()))
         assert len(rows) == 121
+
+    def test_resolution_one_usage_error(self, tmp_path, capsys):
+        code = main(["path", "--id", "ghz", "--resolution", "1", "-o", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "--resolution" in capsys.readouterr().err
 
 
 class TestSampleCommand:
@@ -137,6 +150,10 @@ class TestSampleCommand:
         main(["sample", "-n", "50", "--seed", "1", "--summary-json", str(out)])
         data = json.loads(out.read_text())
         assert data["n"] == 50
+
+    def test_zero_samples_usage_error(self, capsys):
+        assert main(["sample", "-n", "0"]) == 2
+        assert "-n must be >= 1" in capsys.readouterr().err
 
 
 class TestBellCommand:
