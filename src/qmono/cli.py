@@ -212,18 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qmono {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed=True, restarts=None):
+    def common(p, seed=True, restarts=None, restarts_help="optimizer restarts"):
         p.add_argument("--config", help="key = value options file; flags win")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (determinism contract)")
         if restarts is not None:
-            p.add_argument("--restarts", type=int, default=restarts, help="optimizer restarts")
+            p.add_argument("--restarts", type=int, default=restarts, help=restarts_help)
 
     p = sub.add_parser("measures", help="monogamy report for one state file")
     p.add_argument("--state", required=True, help="JSON state file")
     p.add_argument("--nodal", default="A", help="nodal observer label")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
-    common(p, restarts=64)
+    common(p, restarts=64, restarts_help="Nelder-Mead restarts for D(A:BC); mixed inputs only")
     p.set_defaults(func=_cmd_measures)
 
     p = sub.add_parser("scan", help="grid sweep of a state family")

@@ -6,10 +6,12 @@ Quantum discord is computed from the measured conditional entropy
     S(A|B) = min over rank-1 projective measurements {Pi_i} on B
              of sum_i p_i S(rho_{A|i}),
 
-minimized over Bloch-parametrized bases for a qubit measured side and over
-a 12-angle unitary family for a dimension-4 measured side.  The returned
-minimum is an upper bound on the true one; the optimizer trace records the
-restart count and the best-vs-runner-up gap as convergence evidence.
+minimized for a qubit measured side over its Bloch direction by one
+deterministic grid-and-zoom search (whole batches at once; the scalar API is
+a batch of one), and for a dimension-4 measured side over a 12-angle unitary
+family by seeded Nelder-Mead restarts.  The returned minimum is an upper bound
+on the true one.  The optimizer trace records the restart count, and for the
+dimension-4 side the best-vs-runner-up gap, as convergence evidence.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .qcore import (
     Bipartition,
     DensityMatrix,
     PureState,
-    entropy_of_spectrum,
     partial_trace,
     permute_parties,
     vn_entropy,
@@ -225,18 +226,39 @@ def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
     return s1 + s2 - vn_entropy(rho)
 
 
-# --- measured conditional entropy: vectorized qubit kernel -------------------
+# --- measured conditional entropy: one Bloch-direction minimizer -------------
 #
-# For a (K, 4, 4) stack of two-qubit states with the SECOND qubit measured
-# along the Bloch direction n, write R[m, j] = tr(rho s_m (x) s_j) with s_0 = I.
-# Outcome +-1 leaves the unnormalized operator M = (v_0 I + v . s) / 4 on the
-# first qubit, v = R[:, 0] +- R[:, 1:] n; its trace is v_0 / 2 and its
-# eigenvalues are (v_0 +- |v|) / 4.  The objective sum_pm p S(M/p) is
-# therefore closed form, so whole grids of directions (and whole batches of
-# states) evaluate at once.
+# A measured qubit is parametrized by its Bloch direction n.  Outcome +-1
+# leaves the unnormalized kept-side operator M = (rho_keep +- n . T) / 2 with
+# T_j = tr_meas(rho (I (x) s_j)), and the objective is
+# sum_pm [p log p - sum_lambda lambda log lambda] over its trace p and
+# eigenvalues lambda.  Every objective below takes directions as (G, 3),
+# shared by all K items, or (K, G, 3), per item, and returns (K, G) values, so
+# one grid-and-zoom driver serves whole batches and the scalar API's batches
+# of one.
 
 _PM = np.array([1.0, -1.0])  # the two outcomes
-# p = v_0 / 2 and the eigenvalues (v_0 +- |v|) / 4 as _V0 * v_0 + _LEN * |v|
+_N_THETA, _N_PHI = 32, 64  # shared coarse Bloch-angle grid
+# Tangent-plane refinements, the window shrinking 3x per stage.  Against a
+# Nelder-Mead polish of the 5 best grid cells, 6 stages left the minimum up
+# to 8.8e-9 high, 8 stages 8.6e-11 and 10 stages 1.5e-12 (320 two-qubit
+# states of ranks 1-4, 24 states with a qutrit or qubit-pair kept side).
+_ZOOM_STAGES = 10
+
+
+def _cond_entropy_terms(m) -> np.ndarray:
+    """p log2 p - sum lambda log2 lambda for each operator of a (..., d, d) stack.
+
+    Summed over a measurement's outcomes this is sum_i p_i S(M_i / p_i).
+    """
+    p = np.trace(m, axis1=-2, axis2=-1).real
+    lam = np.maximum(np.linalg.eigvalsh(m), 0.0)
+    return _xlog2x(p) - _xlog2x(lam).sum(axis=-1)
+
+
+# Qubit kept side, closed form.  With R[m, j] = tr(rho s_m (x) s_j), s_0 = I,
+# M = (v_0 I + v . s) / 4 on the kept qubit, v = R[:, 0] +- R[:, 1:] n; its
+# trace p = v_0 / 2 and its eigenvalues (v_0 +- |v|) / 4 are _V0 * v_0 + _LEN * |v|.
 _V0 = np.array([0.5, 0.25, 0.25])[:, None, None, None]
 _LEN = np.array([0.0, 0.25, -0.25])[:, None, None, None]
 
@@ -249,7 +271,6 @@ def _qubit_components(rhos: np.ndarray):
 
 
 def _qubit_objective(comp, nvecs: np.ndarray) -> np.ndarray:
-    """Objective for directions nvecs: (G, 3) shared or (K, G, 3) per item."""
     w0, w = comp
     d = w @ nvecs.T if nvecs.ndim == 2 else np.einsum("mkj,kgj->mkg", w, nvecs)
     v = w0[:, :, None, None] + d[..., None] * _PM
@@ -258,36 +279,37 @@ def _qubit_objective(comp, nvecs: np.ndarray) -> np.ndarray:
     return f[..., 0] + f[..., 1]
 
 
-def _angle_grid(n_theta: int, n_phi: int):
-    th = np.linspace(0.0, np.pi, n_theta)
-    ph = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    return tt.ravel(), pp.ravel()
+def _kept_components(rhos: np.ndarray, d_keep: int):
+    """Any kept dimension d: rho_keep as (K, d, d) and T_j as (K, 3, d, d)."""
+    r = np.asarray(rhos, dtype=complex).reshape(-1, d_keep, 2, d_keep, 2)
+    return np.einsum("kabcb->kac", r), np.einsum("kabcd,jdb->kjac", r, _PAULI[1:])
 
 
-def conditional_entropy_qubit_batch(
-    rhos: np.ndarray,
-    n_theta: int = 32,
-    n_phi: int = 64,
-    zoom_stages: int = 6,
-    return_angles: bool = False,
-):
-    """Vectorized minimum measured conditional entropy, second qubit measured.
+def _kept_objective(comp, nvecs: np.ndarray) -> np.ndarray:
+    rho_keep, t = comp
+    spec = "kjac,gj->kgac" if nvecs.ndim == 2 else "kjac,kgj->kgac"
+    nt = np.einsum(spec, t, nvecs)
+    m = (rho_keep[:, None, None] + _PM[:, None, None] * nt[:, :, None]) / 2
+    return _cond_entropy_terms(m).sum(axis=-1)
 
-    ``rhos`` is a (K, 4, 4) stack.  A shared coarse Bloch-angle grid is
-    followed by per-item tangent-plane refinements with shrinking window:
-    the local grids perturb the direction vector itself, so the refinement
-    has no polar coordinate singularity.  Fully deterministic.  Returns the
-    (K,) minima, and optionally the final (theta, phi) angles.
+
+def _minimize_bloch(objective):
+    """Grid-and-zoom minimum of ``objective`` over Bloch directions for K items.
+
+    A shared coarse Bloch-angle grid is followed by per-item tangent-plane
+    refinements with shrinking window: the local grids perturb the direction
+    vector itself, so the refinement has no polar coordinate singularity.
+    Fully deterministic.  Returns the (K,) minima, clipped at 0, and the
+    (K, 3) minimizing directions.
     """
-    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
-    k = rhos.shape[0]
-    comp = _qubit_components(rhos)
-    tt, pp = _angle_grid(n_theta, n_phi)
-    grid = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, _N_THETA),
+        np.linspace(0.0, 2 * np.pi, _N_PHI, endpoint=False),
+        indexing="ij",
     )
-    f = _qubit_objective(comp, grid)
+    grid = bloch_vector(tt.ravel(), pp.ravel()).T
+    f = objective(grid)
+    k = f.shape[0]
     idx = np.argmin(f, axis=1)
     best = f[np.arange(k), idx]
     n_best = grid[idx]
@@ -295,8 +317,8 @@ def conditional_entropy_qubit_batch(
     off = np.linspace(-1.0, 1.0, 9)
     oa, ob = np.meshgrid(off, off, indexing="ij")
     oa, ob = oa.ravel(), ob.ravel()
-    h = 1.5 * np.pi / n_theta  # covers the coarse cell with margin
-    for _ in range(zoom_stages):
+    h = 1.5 * np.pi / _N_THETA  # covers the coarse cell with margin
+    for _ in range(_ZOOM_STAGES):
         # orthonormal tangent frame at each current direction
         pole = np.abs(n_best[:, 2]) > 0.9
         ref = np.where(pole[:, None], np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
@@ -308,22 +330,72 @@ def conditional_entropy_qubit_batch(
             + h * (oa[None, :, None] * u[:, None, :] + ob[None, :, None] * v[:, None, :])
         )
         cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        fl = _qubit_objective(comp, cand)
+        fl = objective(cand)
         j = np.argmin(fl, axis=1)
         bl = fl[np.arange(k), j]
         upd = bl < best
         best = np.where(upd, bl, best)
         n_best = np.where(upd[:, None], cand[np.arange(k), j], n_best)
         h /= 3.0
-    best = np.maximum(best, 0.0)
-    if return_angles:
-        cth = np.arccos(np.clip(n_best[:, 2], -1.0, 1.0))
-        cph = np.arctan2(n_best[:, 1], n_best[:, 0]) % (2 * np.pi)
-        return best, (cth, cph)
-    return best
+    return np.maximum(best, 0.0), n_best
+
+
+def conditional_entropy_qubit_batch(rhos: np.ndarray) -> np.ndarray:
+    """Minimum measured conditional entropy of a (K, 4, 4) stack, second qubit measured."""
+    comp = _qubit_components(rhos)
+    return _minimize_bloch(lambda n: _qubit_objective(comp, n))[0]
+
+
+# --- measured conditional entropy: dimension-4 measured side -----------------
+
+# Nelder-Mead stopping rules for each dimension-4 restart
+_DIM4_OPTIONS = {"xatol": 1e-6, "fatol": 1e-9, "maxiter": 200, "maxfev": 1200}
+
+
+def _dim4_objective(matrix, d_keep):
+    r = matrix.reshape(d_keep, 4, d_keep, 4)
+
+    def f(angles):
+        u = unitary_from_angles(angles)
+        # unnormalized conditional ops on the kept side, one per column of u
+        m = np.einsum("ambn,ni,mi->iab", r, u, u.conj())
+        return float(_cond_entropy_terms(m).sum())
+
+    return f
+
+
+def _minimize_dim4_side(matrix, d_keep, restarts, seed):
+    fun = _dim4_objective(matrix, d_keep)
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(restarts):
+        x0 = np.empty(12)
+        x0[0::2] = rng.uniform(0.0, np.pi / 2, 6)
+        x0[1::2] = rng.uniform(0.0, 2 * np.pi, 6)
+        res = minimize(fun, x0, method="Nelder-Mead", options=_DIM4_OPTIONS)
+        results.append((float(res.fun), res.x))
+    results.sort(key=lambda r: r[0])
+    best_val, best_x = results[0]
+    runner = results[1][0] if len(results) > 1 else None
+    trace = OptimizerTrace(restarts=restarts, best=max(best_val, 0.0), runner_up=runner)
+    return max(best_val, 0.0), tuple(float(x) for x in best_x), trace
 
 
 # --- measured conditional entropy: public API --------------------------------
+
+
+def conditional_entropy_min(
+    rho: DensityMatrix, cut: Bipartition, restarts: int = 64, seed: int = 0
+) -> tuple[float, MeasurementBasis]:
+    """Minimized measured conditional entropy; measurement on ``cut.side_two``.
+
+    A measured qubit (any kept dimension) is a batch of one of the
+    deterministic grid-and-zoom search behind ``conditional_entropy_qubit_batch``;
+    ``restarts`` and ``seed`` do not apply to it.  A dimension-4 measured side
+    uses ``restarts`` seeded Nelder-Mead starts of a 12-angle unitary family.
+    """
+    value, basis, _ = _conditional_entropy_min_traced(rho, cut, restarts, seed)
+    return value, basis
 
 
 def _split_for_measurement(rho: DensityMatrix, cut: Bipartition):
@@ -335,131 +407,21 @@ def _split_for_measurement(rho: DensityMatrix, cut: Bipartition):
     return ordered.matrix, d_keep, d_meas
 
 
-def _measured_qubit_objective(matrix, d_keep):
-    """Scalar objective (theta, phi) -> value for a measured qubit side."""
-    if d_keep == 2:
-        comp = _qubit_components(matrix.reshape(1, 4, 4))
-        return lambda angles: float(_qubit_objective(comp, bloch_vector(*angles)[None, :])[0, 0])
-
-    r = matrix.reshape(d_keep, 2, d_keep, 2)
-    rho_keep = np.einsum("abcb->ac", r)
-    t = np.einsum("abcd,jdb->jac", r, _PAULI[1:])
-
-    def f(angles):
-        nd = np.tensordot(bloch_vector(angles[0], angles[1]), t, axes=(0, 0))
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            m = (rho_keep + sgn * nd) / 2
-            p = np.trace(m).real
-            if p < _XLOG_FLOOR:
-                continue
-            w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-            total += entropy_of_spectrum(w) + p * np.log2(p)
-        return total
-
-    return f
-
-
-def _minimize_qubit_side(matrix, d_keep, grid, refine_from, maxiter):
-    tt, pp = _angle_grid(*grid)
-    fun = _measured_qubit_objective(matrix, d_keep)
-    if d_keep == 2:
-        comp = _qubit_components(matrix.reshape(1, 4, 4))
-        dirs = np.stack(
-            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-        )
-        f_grid = _qubit_objective(comp, dirs)[0]
-    else:
-        f_grid = np.array([fun((t, p)) for t, p in zip(tt, pp)])
-    order = np.argsort(f_grid)[:refine_from]
-    results = [(float(f_grid[order[0]]), np.array([tt[order[0]], pp[order[0]]]))]
-    for i in order:
-        res = minimize(
-            fun,
-            np.array([tt[i], pp[i]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-9, "maxiter": maxiter, "maxfev": 4 * maxiter},
-        )
-        results.append((float(res.fun), res.x))
-    results.sort(key=lambda r: r[0])
-    best_val, best_x = results[0]
-    runner = results[1][0] if len(results) > 1 else None
-    trace = OptimizerTrace(restarts=refine_from, best=max(best_val, 0.0), runner_up=runner)
-    return max(best_val, 0.0), (float(best_x[0]), float(best_x[1])), trace
-
-
-def _dim4_objective(matrix, d_keep):
-    r = matrix.reshape(d_keep, 4, d_keep, 4)
-
-    def f(angles):
-        u = unitary_from_angles(angles)
-        # unnormalized conditional ops on the kept side, one per column of u
-        m = np.einsum("ambn,ni,mi->iab", r, u, u.conj())
-        total = 0.0
-        for i in range(4):
-            p = np.trace(m[i]).real
-            if p < _XLOG_FLOOR:
-                continue
-            w = np.clip(np.linalg.eigvalsh(m[i]), 0.0, None)
-            total += entropy_of_spectrum(w) + p * np.log2(p)
-        return total
-
-    return f
-
-
-def _minimize_dim4_side(matrix, d_keep, restarts, seed, maxiter):
-    fun = _dim4_objective(matrix, d_keep)
-    rng = np.random.default_rng(seed)
-    results = []
-    for _ in range(restarts):
-        x0 = np.empty(12)
-        x0[0::2] = rng.uniform(0.0, np.pi / 2, 6)
-        x0[1::2] = rng.uniform(0.0, 2 * np.pi, 6)
-        res = minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": maxiter, "maxfev": 6 * maxiter},
-        )
-        results.append((float(res.fun), res.x))
-    results.sort(key=lambda r: r[0])
-    best_val, best_x = results[0]
-    runner = results[1][0] if len(results) > 1 else None
-    trace = OptimizerTrace(restarts=restarts, best=max(best_val, 0.0), runner_up=runner)
-    return max(best_val, 0.0), tuple(float(x) for x in best_x), trace
-
-
-def conditional_entropy_min(
-    rho: DensityMatrix,
-    cut: Bipartition,
-    grid: tuple[int, int] = (32, 64),
-    refine_from: int = 5,
-    restarts: int = 64,
-    seed: int = 0,
-    maxiter: int = 200,
-) -> tuple[float, MeasurementBasis]:
-    """Minimized measured conditional entropy; measurement on ``cut.side_two``.
-
-    Measured sides of dimension 2 use a coarse Bloch-angle grid followed by
-    simplex refinement from the best ``refine_from`` cells; dimension-4 sides
-    use ``restarts`` seeded random starts of a 12-angle unitary family.
-    """
-    value, basis, _ = _conditional_entropy_min_traced(
-        rho, cut, grid, refine_from, restarts, seed, maxiter
-    )
-    return value, basis
-
-
-def _conditional_entropy_min_traced(
-    rho, cut, grid=(32, 64), refine_from=5, restarts=64, seed=0, maxiter=200
-):
+def _conditional_entropy_min_traced(rho, cut, restarts=64, seed=0):
     matrix, d_keep, d_meas = _split_for_measurement(rho, cut)
     if d_meas == 2:
-        value, (th, ph), trace = _minimize_qubit_side(matrix, d_keep, grid, refine_from, maxiter)
-        basis = bloch_basis(th, ph, cut.side_two)
-        return value, basis, trace
+        if d_keep == 2:
+            comp, objective = _qubit_components(matrix), _qubit_objective
+        else:
+            comp, objective = _kept_components(matrix, d_keep), _kept_objective
+        best, n = _minimize_bloch(lambda nv: objective(comp, nv))
+        value, (x, y, z) = float(best[0]), n[0]
+        theta = float(np.arccos(np.clip(z, -1.0, 1.0)))
+        phi = float(np.arctan2(y, x) % (2 * np.pi))
+        basis = bloch_basis(theta, phi, cut.side_two)
+        return value, basis, OptimizerTrace(restarts=1, best=value)
     if d_meas == 4:
-        value, angles, trace = _minimize_dim4_side(matrix, d_keep, restarts, seed, maxiter)
+        value, angles, trace = _minimize_dim4_side(matrix, d_keep, restarts, seed)
         basis = unitary_basis(angles, cut.side_two)
         return value, basis, trace
     raise ValueError(f"unsupported measured dimension {d_meas} (need 2 or 4)")

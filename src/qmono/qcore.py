@@ -21,7 +21,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-NORM_TOL = 1e-12
 
 _EIG_ZERO = 1e-12  # eigenvalues below this contribute nothing to entropy
 

@@ -13,17 +13,18 @@ bit-identical across runs with the same inputs.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .bell import MKSettings, mk_optimize, mk_symmetric_closed_form
 from .measures import _YY, _eig2, _eig2_entropy, eof_batch, eof_two_qubit
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
-from .monogamy import ZERO_BAND_DEFAULT, delta_d
+from .monogamy import ZERO_BAND_DEFAULT
 from .multient import ggm
-from .qcore import PureState, binary_entropy, partial_trace
-from .states import haar_random_amplitudes
+from .qcore import PureState, binary_entropy, partial_trace, vn_entropy
+from .states import PATH_GHZ_ENDPOINT, PATH_W_ENDPOINT, haar_random_amplitudes
+from .states import symmetric_concurrence_closed_form
 
 FAMILY_PARAMS = {
     "ghz-sym": ("theta", "kappa", "alpha"),
@@ -33,8 +34,8 @@ FAMILY_PARAMS = {
     "path-w-ghz": ("tau",),
 }
 
-_PATH_GHZ_END = (0.7, 3.06, 0.55, 0.56, 0.63)
-_PATH_W_END = (3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
+_PATH_GHZ_END = (PATH_GHZ_ENDPOINT.theta, PATH_GHZ_ENDPOINT.kappa, *PATH_GHZ_ENDPOINT.alphas)
+_PATH_W_END = astuple(PATH_W_ENDPOINT)
 
 
 # --- record types -------------------------------------------------------------
@@ -441,17 +442,12 @@ def surface_zero(
     ra = _single_site(amps, 0)
     e1 = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])  # = H(e_1)
 
+    conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)  # NaN out of domain
     for i in range(sel.size):
-        a = 3.0 + np.cos(2.0 * astar[i])
-        b = 4.0 * np.cos(astar[i])
-        den = 1.0 + np.cos(astar[i]) ** 3 * np.cos(kk_s[i]) * np.sin(2.0 * tt_s[i])
-        cc = np.sin(astar[i]) ** 4 * np.sin(2.0 * tt_s[i]) ** 2 / (8.0 * den * den)
-        l2 = (a - b) * cc
-        in_domain = l2 >= -1e-15
+        in_domain = not np.isnan(conc[i])
         residual = None
         if in_domain:
-            conc = np.sqrt((a + b) * cc) - np.sqrt(max(l2, 0.0))
-            h = (1.0 + np.sqrt(max(0.0, 1.0 - conc * conc))) / 2.0
+            h = (1.0 + np.sqrt(max(0.0, 1.0 - conc[i] * conc[i]))) / 2.0
             residual = float(abs(2.0 * binary_entropy(h) - e1[i]))
         out.append(
             SurfacePoint(
@@ -568,12 +564,12 @@ def path_trace(
     return records
 
 
-def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAULT, **opt) -> Prop4Result:
+def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAULT) -> Prop4Result:
     """E^f(AB) + E^f(AC) >= H(GGM) with equality for symmetric states.
 
     Scoped to vanishing-score states: ``precondition_met`` records whether
     |delta_D| < band; outside the band the inequality is reported but carries
-    no claim.
+    no claim.  For a pure state Koashi-Winter gives delta_D = S_nodal - lhs.
     """
     others = tuple(l for l in psi.labels if l != nodal)
     rho = psi.density()
@@ -581,7 +577,7 @@ def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAUL
         partial_trace(rho, (nodal, others[1]))
     )
     rhs = binary_entropy(ggm(psi))
-    dd = delta_d(psi, nodal, **opt).delta_D
+    dd = vn_entropy(partial_trace(rho, (nodal,))) - lhs
     return Prop4Result(
         lhs=float(lhs),
         rhs=float(rhs),

@@ -74,7 +74,7 @@ def symmetric_ghz(theta: float, kappa: float, alpha: float, degenerate: bool = T
     return ghz_class(GHZClassParams(theta, kappa, alpha, alpha, alpha, degenerate=degenerate))
 
 
-def symmetric_concurrence_closed_form(theta: float, kappa: float, alpha: float) -> float:
+def symmetric_concurrence_closed_form(theta, kappa, alpha):
     """Concurrence of a two-party marginal of the symmetric two-branch state.
 
     C = sqrt(l1) - sqrt(l2) with l1 = (a + b) c, l2 = (a - b) c,
@@ -82,18 +82,24 @@ def symmetric_concurrence_closed_form(theta: float, kappa: float, alpha: float) 
     c = sin^4(alpha) sin^2(2 theta) / (8 (1 + cos^3(alpha) cos(kappa) sin(2 theta))^2).
 
     With this b the two lambdas are 2 (1 +- cos alpha)^2 c, so l2 >= 0 on the
-    whole parameter range; the guard below still reports should roundoff ever
-    push it negative rather than clamping silently.
+    whole parameter range; should roundoff ever push it below -1e-15 the
+    point is reported rather than clamped silently.  Arguments broadcast as
+    arrays, and such points read NaN; scalar arguments give a float and raise
+    ValueError there.
     """
+    theta, kappa, alpha = (np.asarray(x, dtype=float) for x in (theta, kappa, alpha))
     a = 3.0 + np.cos(2.0 * alpha)
     b = 4.0 * np.cos(alpha)
-    den = 1.0 + np.cos(alpha) ** 3 * np.cos(kappa) * np.sin(2.0 * theta)
-    c = np.sin(alpha) ** 4 * np.sin(2.0 * theta) ** 2 / (8.0 * den * den)
+    # float_power rounds like the scalar ``**`` (the array ``**`` may not), so
+    # array and scalar calls agree bit for bit
+    den = 1.0 + np.float_power(np.cos(alpha), 3) * np.cos(kappa) * np.sin(2.0 * theta)
+    c = np.float_power(np.sin(alpha), 4) * np.float_power(np.sin(2.0 * theta), 2) / (8.0 * den * den)
     l1 = (a + b) * c
     l2 = (a - b) * c
-    if l2 < -1e-15:
+    conc = np.where(l2 >= -1e-15, np.sqrt(l1) - np.sqrt(np.maximum(l2, 0.0)), np.nan)
+    if conc.ndim == 0 and np.isnan(conc):
         raise ValueError(f"closed form out of domain: lambda_2 = {l2} < 0")
-    return float(np.sqrt(l1) - np.sqrt(max(l2, 0.0)))
+    return float(conc) if conc.ndim == 0 else conc
 
 
 def w_class(p: WClassParams) -> PureState:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from qmono.cli import RunConfig, _axis_values, build_parser, main, parse_config_file
 from qmono.qcore import DensityMatrix, save_state
-from qmono.states import ghz_state
+from qmono.states import ghz_state, haar_random
 
 
 @pytest.fixture
@@ -79,6 +79,14 @@ class TestMeasuresCommand:
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["measures"]) == 2
+
+    def test_qutrit_nodal_pure_state(self, tmp_path, capsys):
+        # the two-party discords keep a qutrit and measure a qubit
+        path = tmp_path / "qutrit.json"
+        save_state(haar_random(5, (3, 2, 2)), path)
+        assert main(["measures", "--state", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["delta_C"] is None
 
 
 class TestScanCommand:

@@ -166,10 +166,13 @@ class TestMutualInformation:
         assert_allclose(mutual_information(bell_mixture(), AB), 1.0, atol=1e-10)
 
 
-def brute_force_cond_entropy(rho_ab, n_theta=200, n_phi=400):
-    """Direct oracle: explicit projectors, explicit post-measurement states."""
+def brute_force_cond_entropy(rho_ab, n_theta=200, n_phi=400, d_keep=2):
+    """Direct oracle: explicit projectors, explicit post-measurement states.
+
+    The measured qubit is the last factor; the kept side has dimension d_keep.
+    """
     best = np.inf
-    eye = np.eye(2)
+    eye = np.eye(d_keep)
     m = rho_ab.matrix if isinstance(rho_ab, DensityMatrix) else rho_ab
     for th in np.linspace(0, np.pi, n_theta):
         for ph in np.linspace(0, 2 * np.pi, n_phi, endpoint=False):
@@ -181,7 +184,7 @@ def brute_force_cond_entropy(rho_ab, n_theta=200, n_phi=400):
                 p = np.trace(post).real
                 if p < 1e-14:
                     continue
-                red = post.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3) / p
+                red = post.reshape(d_keep, 2, d_keep, 2).trace(axis1=1, axis2=3) / p
                 w = np.clip(np.linalg.eigvalsh(red), 0, None)
                 w = w[w > 1e-12]
                 total += p * float(-(w * np.log2(w)).sum())
@@ -239,8 +242,6 @@ class TestConditionalEntropyMin:
             s_a = vn_entropy(partial_trace(rho, ("A",)))
             s_b = vn_entropy(partial_trace(rho, ("B",)))
             assert val <= s_a + s_b + 1e-9
-            val2, _ = conditional_entropy_min(rho, AB, refine_from=10)
-            assert val2 <= val + 1e-8
 
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(5)
@@ -254,6 +255,36 @@ class TestConditionalEntropyMin:
         rho = DensityMatrix(np.eye(6) / 6, (2, 3))
         with pytest.raises(ValueError, match="measured dimension"):
             conditional_entropy_min(rho, Bipartition(("A",), ("B",)))
+
+
+class TestLargerKeptSide:
+    """A qubit measured, a qutrit or a qubit pair kept."""
+
+    def test_qutrit_qubit_matches_brute_force(self):
+        rng = np.random.default_rng(17)
+        rho = wishart_state(rng, 6, (3, 2))
+        oracle = brute_force_cond_entropy(rho, n_theta=100, n_phi=200, d_keep=3)
+        val, basis = conditional_entropy_min(rho, AB)
+        assert val <= oracle + 1e-6
+        assert abs(val - oracle) <= 5e-4  # oracle grid resolution limit
+        assert basis.subsystem == ("B",)
+
+    def test_pair_kept_matches_brute_force(self):
+        rng = np.random.default_rng(19)
+        rho = wishart_state(rng, 8, (2, 2, 2))
+        oracle = brute_force_cond_entropy(rho, n_theta=100, n_phi=200, d_keep=4)
+        val, basis = conditional_entropy_min(rho, Bipartition(("A", "B"), ("C",)))
+        assert val <= oracle + 1e-6
+        assert abs(val - oracle) <= 5e-4  # oracle grid resolution limit
+        assert basis.subsystem == ("C",)
+
+    def test_product_state_gives_kept_entropy(self):
+        rng = np.random.default_rng(23)
+        rho_a = wishart_state(rng, 3, (3,)).matrix
+        rho_b = wishart_state(rng, 2, (2,)).matrix
+        rho = DensityMatrix(np.kron(rho_a, rho_b), (3, 2))
+        val, _ = conditional_entropy_min(rho, AB)
+        assert_allclose(val, vn_entropy(partial_trace(rho, ("A",))), atol=1e-10)
 
 
 class TestDim4MeasuredSide:

@@ -76,6 +76,14 @@ class TestClosedFormConcurrence:
             rho = partial_trace(symmetric_ghz(th, ka, al).density(), ("A", "B"))
             assert abs(closed - concurrence(rho)) <= 1e-6
 
+    def test_array_call_equals_scalar_calls(self):
+        rng = np.random.default_rng(16)
+        th = rng.uniform(0.0, np.pi / 4, 200)
+        ka = rng.uniform(0.0, 2 * np.pi, 200)
+        al = rng.uniform(0.0, np.pi / 2, 200)
+        scalar = [symmetric_concurrence_closed_form(*x) for x in zip(th, ka, al)]
+        assert np.array_equal(symmetric_concurrence_closed_form(th, ka, al), scalar)
+
 
 class TestWClass:
     def test_theta1_zero_is_product(self):
