@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qmono {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed=True, restarts=None, restarts_help="optimizer restarts"):
+    def common(p, seed=True, restarts=None, restarts_help="random MK see-saw starts"):
         p.add_argument("--config", help="key = value options file; flags win")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (determinism contract)")
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--epsilon", type=float, default=1e-4)
     p.add_argument("--mk", choices=["optimize", "skip"], default="skip",
-                   help="per-point MK optimization is expensive; default skip")
+                   help="MK value per point by see-saw search; default skip")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     common(p, restarts=24)
     p.set_defaults(func=_cmd_path)
@@ -316,6 +316,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help/--version or usage error
         return int(exc.code or 0)
     try:
+        if getattr(ns, "restarts", 1) < 1:
+            raise SystemExit2(f"--restarts must be >= 1, got {ns.restarts}")
         return ns.func(ns)
     except SystemExit2 as exc:
         print(f"qmono: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from qmono.bell import (
     MKSettings,
@@ -13,7 +14,7 @@ from qmono.bell import (
 )
 from qmono.measures import SIGMA_Z
 from qmono.qcore import DensityMatrix, PureState
-from qmono.states import ghz_state, w_state
+from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -147,6 +148,73 @@ class TestOptimize:
         val0, settings = mk_optimize(ghz_state(), restarts=4, seed=9)
         val1, _ = mk_optimize(ghz_state(), restarts=0, seed=9, initial=settings)
         assert val1 >= val0 - 1e-9
+
+    def test_no_start_rejected(self):
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="needs a start"):
+                mk_optimize(ghz_state(), restarts=restarts)
+
+
+def haar_states(n, seed):
+    return [PureState(v, (2, 2, 2)) for v in haar_random_amplitudes(n, seed)]
+
+
+def ginibre_states(n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        m = g @ g.conj().T
+        out.append(DensityMatrix(m / np.trace(m).real, (2, 2, 2)))
+    return out
+
+
+def nelder_mead_oracle(state, starts):
+    """Independent search: Nelder-Mead on the 8x8 operator's expectation value."""
+
+    def objective(angles):
+        return -abs(mk_expectation(state, MKSettings.from_angles(angles)))
+
+    options = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 3000, "maxfev": 3000}
+    return max(-minimize(objective, x0, method="Nelder-Mead", options=options).fun for x0 in starts)
+
+
+class TestSeesawOracles:
+    """The see-saw search against values it does not compute itself."""
+
+    def test_value_is_attained_by_settings(self):
+        for state in haar_states(4, 21) + ginibre_states(3, 22):
+            val, settings = mk_optimize(state, restarts=4, seed=1)
+            assert abs(val - abs(mk_expectation(state, settings))) <= 1e-12
+
+    def test_noisy_ghz_closed_form(self):
+        # tr(B_3 I) = 0, so the maximum over settings is p times GHZ's 2
+        ghz = np.outer(ghz_state().amplitudes, ghz_state().amplitudes.conj())
+        for p in (0.0, 0.2, 0.5, 0.75, 1.0):
+            rho = DensityMatrix(p * ghz + (1 - p) * np.eye(8) / 8, (2, 2, 2))
+            val, _ = mk_optimize(rho, restarts=4, seed=3)
+            assert abs(val - 2 * p) <= 1e-9
+
+    def test_at_least_symmetric_closed_form(self):
+        rng = np.random.default_rng(23)
+        for theta, kappa, alpha in rng.uniform(0.0, [np.pi / 4, 2 * np.pi, np.pi / 2], (100, 3)):
+            val, _ = mk_optimize(symmetric_ghz(theta, kappa, alpha), restarts=2, seed=4)
+            assert val >= mk_symmetric_closed_form(theta, alpha, kappa) - 1e-9
+
+    def test_at_least_nelder_mead_oracle(self):
+        # one random start, and one at the returned settings: Nelder-Mead finds
+        # no higher value near them either
+        rng = np.random.default_rng(24)
+        for state in haar_states(1, 25) + ginibre_states(1, 26):
+            val, settings = mk_optimize(state, restarts=8, seed=5)
+            starts = [rng.uniform(0.0, np.pi, 12), settings.to_angles()]
+            assert val >= nelder_mead_oracle(state, starts) - 1e-9
+
+    def test_restart_monotonicity(self):
+        for state in haar_states(6, 26) + ginibre_states(2, 27):
+            vals = [mk_optimize(state, restarts=k, seed=7)[0] for k in (1, 4, 16)]
+            assert vals[1] >= vals[0] - 1e-9
+            assert vals[2] >= vals[1] - 1e-9
 
 
 class TestClosedForm:

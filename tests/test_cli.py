@@ -174,6 +174,40 @@ class TestBellCommand:
         assert len(data["settings_a"]) == 3
 
 
+class TestRestartsUsageError:
+    """--restarts below 1 leaves no optimizer start: a usage error, not a traceback."""
+
+    @pytest.fixture
+    def commands(self, ghz_file, tmp_path):
+        mixed = tmp_path / "mixed.json"
+        save_state(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), mixed)
+        out = str(tmp_path / "out.csv")
+        return [
+            ["bell", "--state", ghz_file],
+            ["path", "--id", "ghz", "--mk", "optimize", "--resolution", "2", "-o", out],
+            ["scan", "--family", "ghz-sym", "--mk", "optimize", "--axis", "theta=0.3",
+             "--axis", "kappa=0", "--axis", "alpha=1", "-o", out],
+            ["measures", "--state", str(mixed)],
+        ]
+
+    @pytest.mark.parametrize("restarts", ["0", "-2"])
+    def test_flag(self, commands, restarts, capsys):
+        for argv in commands:
+            assert main(argv + ["--restarts", restarts]) == 2
+            assert f"--restarts must be >= 1, got {restarts}" in capsys.readouterr().err
+
+    def test_config_file(self, commands, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("restarts = 0\n")
+        for argv in commands:
+            assert main(argv + ["--config", str(conf)]) == 2
+            assert "--restarts must be >= 1" in capsys.readouterr().err
+
+    def test_one_restart_runs(self, ghz_file, capsys):
+        assert main(["bell", "--state", ghz_file, "--restarts", "1"]) == 0
+        assert_allclose(json.loads(capsys.readouterr().out)["mk_value"], 2.0, atol=1e-9)
+
+
 class TestSurfaceCommand:
     def test_single_point(self, tmp_path):
         out = tmp_path / "surface.csv"
