@@ -42,6 +42,8 @@ class MonogamyReport:
     delta_D: float
     delta_C: float | None
     D_A_BC: float
+    D_A_BC_kernel: str
+    D_A_BC_gap: float | None
     D_AB: float
     D_AC: float
     C_AB: float | None
@@ -57,7 +59,7 @@ class MonogamyReport:
     heuristic: bool
 
     CSV_COLUMNS = (
-        "nodal", "delta_D", "delta_C", "D_A_BC", "D_AB", "D_AC",
+        "nodal", "delta_D", "delta_C", "D_A_BC", "D_A_BC_kernel", "D_A_BC_gap", "D_AB", "D_AC",
         "C_AB", "C_AC", "C_A_BC", "S_A", "S_cond_AB", "S_cond_AC",
         "prop1_satisfied", "prop1_slack", "prop2_residual",
         "bound_lower", "bound_upper", "heuristic",
@@ -114,8 +116,8 @@ def _marginal_discords(rho: DensityMatrix, nodal: str, others, **opt):
 def delta_d(state, nodal: str, zero_band: float = ZERO_BAND_DEFAULT, **opt) -> MonogamyReport:
     """Full discord-monogamy report for one state and nodal choice.
 
-    Pure inputs take the exact fast path for D(A:BC); mixed inputs fall back
-    to the dimension-4 measured-side optimizer and are flagged heuristic.
+    Pure inputs take the exact fast path for D(A:BC), mixed ones ``discord``
+    (kernel and runner-up gap in ``D_A_BC_kernel``, ``D_A_BC_gap``) and the flag heuristic.
     """
     _require_three_parties(state)
     rho = _as_density(state)
@@ -126,11 +128,11 @@ def delta_d(state, nodal: str, zero_band: float = ZERO_BAND_DEFAULT, **opt) -> M
     s_a = vn_entropy(partial_trace(rho, (nodal,)))
     big_cut = Bipartition((nodal,), others)
     if pure:
-        d_a_bc = s_a
-        heuristic = False
+        d_a_bc, kernel, gap = s_a, "pure", None
     else:
-        d_a_bc = discord(rho, big_cut, **opt).discord
-        heuristic = True
+        res = discord(rho, big_cut, **opt)
+        d_a_bc, trace = res.discord, res.optimizer_trace
+        kernel, gap = trace.kernel, None if trace.runner_up is None else trace.gap
 
     marg = _marginal_discords(rho, nodal, others, **opt)
     d_ab, d_ac = marg[others[0]], marg[others[1]]
@@ -161,6 +163,8 @@ def delta_d(state, nodal: str, zero_band: float = ZERO_BAND_DEFAULT, **opt) -> M
         delta_D=value,
         delta_C=dc,
         D_A_BC=d_a_bc,
+        D_A_BC_kernel=kernel,
+        D_A_BC_gap=gap,
         D_AB=d_ab.discord,
         D_AC=d_ac.discord,
         C_AB=c_ab,
@@ -173,7 +177,7 @@ def delta_d(state, nodal: str, zero_band: float = ZERO_BAND_DEFAULT, **opt) -> M
         prop1_slack=slack,
         prop2_residual=prop2,
         bounds=bounds,
-        heuristic=heuristic,
+        heuristic=not pure,
     )
 
 

@@ -88,6 +88,58 @@ class TestMeasuresCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["delta_C"] is None
 
+    @pytest.mark.parametrize("nodal", ["B", "C"])
+    def test_qubit_nodal_measures_qutrit(self, tmp_path, capsys, nodal):
+        # D(nodal, A) measures the qutrit A
+        path = tmp_path / "qutrit.json"
+        save_state(haar_random(5, (3, 2, 2)), path)
+        assert main(["measures", "--state", str(path), "--nodal", nodal, "--restarts", "8"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["nodal"] == nodal and data["D_A_BC_kernel"] == "pure"
+
+
+def _entropy(m):
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def _wootters_eof(rho):
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    ev = np.linalg.eigvals(rho @ yy @ rho.conj() @ yy)
+    lam = np.sqrt(np.clip(np.sort(ev.real)[::-1], 0.0, None))
+    c = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+    return _entropy(np.diag([(1 + np.sqrt(1 - c * c)) / 2, (1 - np.sqrt(1 - c * c)) / 2]))
+
+
+class TestMixedMeasures:
+    def test_rank2_d_a_bc_is_koashi_winter(self, tmp_path, capsys):
+        """D(A:BC) = S_BC - S_ABC + E_f(rho_AE), E the qubit purifying a rank-2 rho."""
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            g = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+            rho = g @ g.conj().T / np.sum(np.abs(g) ** 2)
+            path = tmp_path / "rank2.json"
+            save_state(DensityMatrix(rho, (2, 2, 2)), path)
+            assert main(["measures", "--state", str(path), "--restarts", "8"]) == 0
+            data = json.loads(capsys.readouterr().out)
+            psi = (g / np.sqrt(np.sum(np.abs(g) ** 2))).reshape(2, 4, 2)  # [a, bc, e]
+            rho_ae = np.einsum("abe,cbf->aecf", psi, psi.conj()).reshape(4, 4)
+            s_bc = _entropy(rho.reshape(2, 4, 2, 4).trace(axis1=0, axis2=2))
+            want = s_bc - _entropy(rho) + _wootters_eof(rho_ae)
+            assert abs(data["D_A_BC"] - want) <= 1e-9
+            assert data["D_A_BC_kernel"] == "rank2-koashi-winter"
+            assert data["D_A_BC_gap"] is None and data["heuristic"] is True
+
+    def test_rank3_runs_the_search(self, tmp_path, capsys):
+        rng = np.random.default_rng(62)
+        g = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        path = tmp_path / "rank3.json"
+        save_state(DensityMatrix(g @ g.conj().T / np.sum(np.abs(g) ** 2), (2, 2, 2)), path)
+        assert main(["measures", "--state", str(path), "--restarts", "8"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["D_A_BC_kernel"] == "unitary-search" and data["D_A_BC_gap"] >= 0.0
+
 
 class TestScanCommand:
     def test_small_grid(self, tmp_path):

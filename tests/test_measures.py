@@ -18,10 +18,13 @@ from qmono.measures import (
     eof_two_qubit,
     mutual_information,
     unitary_from_angles,
+    _minimize_dim4_side,
 )
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
+from qmono.states import haar_random
 
 AB = Bipartition(("A",), ("B",))
+BC_MEASURED = Bipartition(("A",), ("B", "C"))
 
 
 def dm(matrix, dims=(2, 2)):
@@ -53,8 +56,8 @@ def haar_pure(rng, dim=4):
     return PureState(z, (2, dim // 2))
 
 
-def wishart_state(rng, dim=4, dims=(2, 2)):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def wishart_state(rng, dim=4, dims=(2, 2), rank=None):
+    g = rng.standard_normal((dim, rank or dim)) + 1j * rng.standard_normal((dim, rank or dim))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m).real, dims)
 
@@ -252,7 +255,8 @@ class TestConditionalEntropyMin:
             assert abs(batch[i] - val) <= 1e-7
 
     def test_unsupported_dimension(self):
-        rho = DensityMatrix(np.eye(6) / 6, (2, 3))
+        # a measured qutrit is supported (TestMeasuredQutrit); five levels are not
+        rho = DensityMatrix(np.eye(10) / 10, (2, 5))
         with pytest.raises(ValueError, match="measured dimension"):
             conditional_entropy_min(rho, Bipartition(("A",), ("B",)))
 
@@ -315,6 +319,85 @@ class TestDim4MeasuredSide:
         v1, _ = conditional_entropy_min(rho, cut, restarts=8, seed=4)
         v2, _ = conditional_entropy_min(rho, cut, restarts=16, seed=4)
         assert v2 <= v1 + 1e-8
+
+    def test_search_matches_rank2_closed_form(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            rho = wishart_state(rng, 8, (2, 2, 2), rank=2)
+            exact, basis = conditional_entropy_min(rho, BC_MEASURED)
+            assert basis is None
+            val, u, trace = _minimize_dim4_side(rho.matrix, 2, restarts=4, seed=1)
+            assert abs(val - exact) <= 1e-9
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
+            assert trace.kernel == "unitary-search" and trace.gap >= 0.0
+
+    def test_entropy_bounds_at_every_rank(self):
+        # S(ABC) - S(BC) <= measured S(A|BC) <= S_A
+        rng = np.random.default_rng(43)
+        for rank in (1, 2, 3, 4, 6, 8):
+            rho = wishart_state(rng, 8, (2, 2, 2), rank=rank)
+            val, _ = conditional_entropy_min(rho, BC_MEASURED, restarts=8, seed=0)
+            lower = vn_entropy(rho) - vn_entropy(partial_trace(rho, ("B", "C")))
+            assert lower - 1e-12 <= val <= vn_entropy(partial_trace(rho, ("A",))) + 1e-12
+
+    def test_restart_monotonicity_4_16_64(self):
+        rng = np.random.default_rng(47)
+        for rank in (3, 4, 8):
+            rho = wishart_state(rng, 8, (2, 2, 2), rank=rank)
+            vals = [conditional_entropy_min(rho, BC_MEASURED, restarts=k, seed=5)[0]
+                    for k in (4, 16, 64)]
+            assert vals[1] <= vals[0] + 1e-12 and vals[2] <= vals[1] + 1e-12
+
+    def test_at_most_brute_force_oracle(self):
+        """BFGS from random starts over U = expm(iH), H Hermitian, with explicit
+        projectors and numerical gradients; shares no code with the search."""
+        from scipy.linalg import expm
+        from scipy.optimize import minimize
+
+        def cond_entropy(m, u):
+            proj = np.einsum("ac,mi,ni->iamcn", np.eye(2), u, u.conj()).reshape(4, 8, 8)
+            post = (proj @ m @ proj).reshape(4, 2, 4, 2, 4).trace(axis1=2, axis2=4)
+            p = np.trace(post, axis1=1, axis2=2).real
+            w = np.clip(np.linalg.eigvalsh(post / p[:, None, None]), 1e-300, None)
+            return float(-np.sum(p[:, None] * w * np.log2(w)))
+
+        def unitary(x):
+            h = np.diag(x[:4]).astype(complex)
+            h[np.triu_indices(4, 1)] = x[4:10] + 1j * x[10:]
+            return expm(1j * (h + np.triu(h, 1).conj().T))
+
+        rng = np.random.default_rng(53)
+        for rank in (3, 4, 8):
+            rho = wishart_state(rng, 8, (2, 2, 2), rank=rank)
+            oracle = min(
+                minimize(lambda x: cond_entropy(rho.matrix, unitary(x)), rng.uniform(-2, 2, 16),
+                         method="BFGS").fun
+                for _ in range(2)
+            )
+            val, _ = conditional_entropy_min(rho, BC_MEASURED, restarts=16, seed=0)
+            assert val <= oracle + 1e-9
+
+
+class TestMeasuredQutrit:
+    def test_koashi_winter_on_pure_qutrit_states(self):
+        """Pure ABC, A measured: S(B|A) >= E_f(rho_BC) (Koashi-Winter), with
+        equality when C(rho_BC) > 0, since Wootters' optimal decomposition then
+        has rank(rho_BC) <= 3 members and a qutrit basis reaches it.  A separable
+        rho_BC can need 4 members, which a projective qutrit measurement lacks."""
+        entangled = 0
+        for seed in range(8):
+            rho = haar_random(seed, (3, 2, 2)).density()
+            val, basis = conditional_entropy_min(
+                partial_trace(rho, ("A", "B")), Bipartition(("B",), ("A",)), restarts=16, seed=seed
+            )
+            rho_bc = partial_trace(rho, ("B", "C"))
+            ef = eof_two_qubit(rho_bc)
+            assert val >= ef - 1e-9
+            if concurrence(rho_bc) > 1e-6:
+                entangled += 1
+                assert val <= ef + 1e-7
+            assert len(basis.projectors) == 3
+        assert entangled >= 4
 
 
 class TestDiscord:

@@ -81,14 +81,18 @@ class TestDeltaD:
         assert rep.bounds is None
         assert rep.C_A_BC is None
         assert rep.D_A_BC >= -1e-9
+        assert rep.D_A_BC_kernel == "unitary-search"
+        assert rep.D_A_BC_gap >= 0.0
 
     def test_serialization(self):
         rep = delta_d(ghz_state(), "A")
         data = json.loads(rep.to_json())
         assert data["nodal"] == "A"
         assert_allclose(data["delta_D"], 1.0, atol=1e-6)
+        assert data["D_A_BC_kernel"] == "pure" and data["D_A_BC_gap"] is None
         row = rep.to_csv_row()
-        assert len(row.split(",")) == len(MonogamyReport.CSV_COLUMNS)
+        assert len(row.split(",")) == len(MonogamyReport.CSV_COLUMNS) == 20
+        assert list(data) == list(MonogamyReport.CSV_COLUMNS)
 
 
 class TestDeltaC:
