@@ -7,10 +7,8 @@ __version__ = "0.1.0"
 from .qcore import (
     Bipartition,
     DensityMatrix,
-    EigenSpectrum,
     PureState,
     binary_entropy,
-    eig_hermitian,
     load_state,
     partial_trace,
     save_state,

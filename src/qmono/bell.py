@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, minimize
 from .qcore import DensityMatrix, PureState
 
 _MAX_PARTIES = 6
@@ -126,10 +125,6 @@ def mk_expectation(state, settings: MKSettings) -> float:
     """tr(B_N eta); |value| > 1 witnesses violation of local realism."""
     rho = _density_matrix(state, settings.n_parties)
     return float(np.trace(mk_operator(settings) @ rho).real)
-
-
-def violates_mk(state, settings: MKSettings, tol: float = 0.0) -> bool:
-    return abs(mk_expectation(state, settings)) > 1.0 + tol
 
 
 def _pair_gradients(t, a, ap, p: int):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -72,14 +73,20 @@ class SystemExit2(Exception):
 def _axis_values(spec: str) -> np.ndarray:
     """Parse 'start:stop:count' (inclusive linspace) or a single value."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) == 3:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise SystemExit2(f"axis count must be >= 1 in {spec!r}")
-        return np.linspace(start, stop, count)
-    raise SystemExit2(f"axis spec {spec!r} is not 'value' or 'start:stop:count'")
+    if len(parts) not in (1, 3):
+        raise SystemExit2(f"axis spec {spec!r} is not 'value' or 'start:stop:count'")
+    try:
+        ends = [float(p) for p in parts[:2]]
+        count = int(parts[2]) if len(parts) == 3 else 1
+    except ValueError:
+        raise SystemExit2(
+            f"axis spec {spec!r} needs numbers for value, start and stop and an integer count"
+        ) from None
+    if not all(map(math.isfinite, ends)):
+        raise SystemExit2(f"axis spec {spec!r} has a value that is not finite")
+    if count < 1:
+        raise SystemExit2(f"axis count must be >= 1 in {spec!r}")
+    return np.linspace(ends[0], ends[-1], count)
 
 
 def _float_fmt(x) -> str:
@@ -281,7 +288,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise SystemExit2("--config needs a path")
-    values = parse_config_file(argv[i + 1])
+    try:
+        values = parse_config_file(argv[i + 1])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit2(f"cannot read config file {argv[i + 1]!r}: {exc}") from None
     # find the subparser to validate keys against its known destinations
     sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     subname = next((a for a in argv if not a.startswith("-")), None)
@@ -296,13 +306,30 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     for key, raw in values.items():
         action = next(a for a in subparser._actions if a.dest == key)
         if action.type is not None:
-            converted[key] = action.type(raw)
+            try:
+                converted[key] = action.type(raw)
+            except ValueError:
+                raise SystemExit2(
+                    f"config key {key!r}: invalid {action.type.__name__} value {raw!r}"
+                ) from None
         elif isinstance(action, argparse._AppendAction):
             converted[key] = [raw]
         else:
             converted[key] = raw
     subparser.set_defaults(**converted)
     return argv
+
+
+def _check_options(ns: argparse.Namespace) -> None:
+    """Range checks of numeric options, from a flag or a config file alike."""
+    if getattr(ns, "restarts", 1) < 1:
+        raise SystemExit2(f"--restarts must be >= 1, got {ns.restarts}")
+    xtol = getattr(ns, "xtol", 1.0)
+    if not (math.isfinite(xtol) and xtol > 0):
+        raise SystemExit2(f"--xtol must be finite and > 0, got {xtol}")
+    epsilon = getattr(ns, "epsilon", 0.0)
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise SystemExit2(f"--epsilon must be finite and >= 0, got {epsilon}")
 
 
 def main(argv=None) -> int:
@@ -317,8 +344,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help/--version or usage error
         return int(exc.code or 0)
     try:
-        if getattr(ns, "restarts", 1) < 1:
-            raise SystemExit2(f"--restarts must be >= 1, got {ns.restarts}")
+        _check_options(ns)
         return ns.func(ns)
     except SystemExit2 as exc:
         print(f"qmono: {exc}", file=sys.stderr)

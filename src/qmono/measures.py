@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qcore import (
     Bipartition,
@@ -38,6 +37,18 @@ _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 _PURITY_TOL = 1e-12
 _XLOG_FLOOR = 1e-15
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call.
+
+    Only the BFGS polishes (here and in ``bell``) need it, and importing it is
+    most of the package's start-up; pure, closed-form and grid-and-zoom paths
+    never load it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -140,12 +151,6 @@ def unitary_from_angles(angles) -> np.ndarray:
         g[j, j] = c
         u = u @ g
     return u
-
-
-def unitary_basis(angles, subsystem=("B", "C")) -> MeasurementBasis:
-    u = unitary_from_angles(angles)
-    projs = tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(4))
-    return MeasurementBasis(tuple(subsystem), projs, tuple(angles))
 
 
 # --- 2x2 spectra and entropies ---------------------------------------------

@@ -251,19 +251,6 @@ def interaction_information(state) -> float:
     return s1[a] + s1[b] + s1[c] - s_ab - s_bc - s_ca + vn_entropy(rho)
 
 
-def interaction_information_balance(state, nodal: str, **opt) -> tuple[float, float]:
-    """(I_ABC, J_AB + J_AC): the two sides of the claimed zero-score identity.
-
-    Reported for empirical comparison only; the identity is not asserted.
-    """
-    _require_three_parties(state)
-    rho = _as_density(state)
-    others = tuple(l for l in rho.labels if l != nodal)
-    marg = _marginal_discords(rho, nodal, others, **opt)
-    j_sum = sum(m.classical_correlation for m in marg.values())
-    return interaction_information(state), float(j_sum)
-
-
 def kw_residual(psi: PureState, nodal: str, **opt) -> float:
     """E^f(AB) + J(AC) - S_A for a pure tripartite state.
 

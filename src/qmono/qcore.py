@@ -150,25 +150,6 @@ class Bipartition:
         return cls(one, two)
 
 
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Descending real eigenvalues with orthonormal column eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        u = np.asarray(self.vectors, dtype=complex)
-        v.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "vectors", u)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
-
 def tensor(a, b):
     """Kronecker product of two states of the same kind.
 
@@ -267,17 +248,6 @@ def binary_entropy(p: float) -> float:
         if x > _EIG_ZERO:
             out -= x * np.log2(x)
     return out
-
-
-def eig_hermitian(m: np.ndarray, tol: float = 1e-8) -> EigenSpectrum:
-    """Eigendecomposition of a Hermitian matrix, values descending."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return EigenSpectrum(w[::-1].copy(), v[:, ::-1].copy())
 
 
 def schmidt_sq_max(psi: PureState, cut: Bipartition) -> float:

@@ -10,7 +10,6 @@ from qmono.bell import (
     mk_optimize,
     mk_symmetric_closed_form,
     pauli_operator,
-    violates_mk,
 )
 from qmono.measures import SIGMA_Z
 from qmono.qcore import DensityMatrix, PureState
@@ -108,7 +107,7 @@ class TestExpectation:
             mk_expectation(PureState([1, 0], (2,)), settings_all(X, Y))
 
     def test_violation_flag(self):
-        assert violates_mk(ghz_state(), MKSettings((Y, Y, Y), (X, X, X)))
+        assert abs(mk_expectation(ghz_state(), MKSettings((Y, Y, Y), (X, X, X)))) > 1.0
 
 
 class TestOptimize:

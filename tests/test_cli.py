@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmono.cli import RunConfig, _axis_values, build_parser, main, parse_config_file
+import qmono
+from qmono.cli import RunConfig, SystemExit2, _axis_values, build_parser, main, parse_config_file
 from qmono.qcore import DensityMatrix, save_state
 from qmono.states import ghz_state, haar_random
 
@@ -27,10 +30,9 @@ class TestHelpers:
         assert_allclose(_axis_values("0:1:3"), [0.0, 0.5, 1.0])
 
     def test_axis_malformed(self):
-        from qmono.cli import SystemExit2
-
-        with pytest.raises(SystemExit2):
-            _axis_values("0:1")
+        for spec in ("0:1", "abc", "0:1:x", "0:b:3", "0:1:2.5", "nan", "0:inf:3"):
+            with pytest.raises(SystemExit2, match=repr(spec)):
+                _axis_values(spec)
 
     def test_config_file_parse(self, tmp_path):
         path = tmp_path / "conf"
@@ -164,6 +166,16 @@ class TestScanCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["theta=abc", "theta=0:1:x", "theta=nan"])
+    def test_unparsable_axis_usage_error(self, tmp_path, capsys, spec):
+        code = main([
+            "scan", "--family", "ghz-sym", "--axis", spec, "--axis", "kappa=0",
+            "--axis", "alpha=0.5", "-o", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert repr(spec.split("=", 1)[1]) in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_axis_without_equals_usage_error(self, tmp_path, capsys):
         code = main([
             "scan", "--family", "ghz-sym", "--axis", "theta0.3", "--axis", "kappa=0",
@@ -260,6 +272,25 @@ class TestRestartsUsageError:
         assert_allclose(json.loads(capsys.readouterr().out)["mk_value"], 2.0, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "0"], "--xtol must be"),
+        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "-1"], "--xtol must be"),
+        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "inf"], "--xtol must be"),
+        (["sample", "-n", "3", "--epsilon", "-1"], "--epsilon must be"),
+        (["path", "--id", "ghz", "--resolution", "2", "--epsilon", "nan"], "--epsilon must be"),
+        (["scan", "--family", "ghz-sym", "--axis", "theta=0.3", "--axis", "kappa=0",
+          "--axis", "alpha=1", "--epsilon", "inf"], "--epsilon must be"),
+    ],
+)
+def test_out_of_range_tolerance_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSurfaceCommand:
     def test_single_point(self, tmp_path):
         out = tmp_path / "surface.csv"
@@ -287,6 +318,21 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_unreadable_file_usage_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary.cfg"
+        binary.write_bytes(b"\xff\xfe n = 3\n")
+        for path in (tmp_path / "missing.cfg", binary):
+            assert main(["sample", "--config", str(path), "-n", "3"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("qmono: cannot read config file") and str(path) in err
+
+    def test_unconvertible_value_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("n = abc\n")
+        assert main(["sample", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qmono: ") and "'abc'" in err
+
 
 class TestTopLevel:
     def test_version(self, capsys):
@@ -305,3 +351,49 @@ class TestTopLevel:
         )
         assert res.returncode == 0
         assert "qmono" in res.stdout
+
+
+def _scipy_optimize_loaded(commands):
+    """Run each argv through ``qmono.cli.main`` in one fresh interpreter.
+
+    Returns the exit codes, and whether ``scipy.optimize`` was imported after
+    ``import qmono`` and after the commands.
+    """
+    script = (
+        "import json, sys\n"
+        "import qmono\n"
+        "bare = 'scipy.optimize' in sys.modules\n"
+        "from qmono.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, bare, 'scipy.optimize' in sys.modules]))\n"
+    )
+    src = str(Path(qmono.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+class TestLazyScipyImport:
+    """Only the BFGS polishes need scipy.optimize; nothing else may import it."""
+
+    def test_closed_form_commands_skip_it(self, ghz_file, tmp_path):
+        out = str(tmp_path)
+        codes, bare, after = _scipy_optimize_loaded([
+            ["sample", "-n", "20", "-o", f"{out}/sample.csv", "--summary-json", f"{out}/s.json"],
+            ["scan", "--family", "ghz-sym", "--mk", "closed", "--axis", "theta=0:0.8:2",
+             "--axis", "kappa=0", "--axis", "alpha=0:1.5:3", "-o", f"{out}/scan.csv"],
+            ["surface", "--theta", "0.4", "--kappa", "1", "-o", f"{out}/surface.csv"],
+            ["measures", "--state", ghz_file, "-o", f"{out}/measures.json"],
+        ])
+        assert codes == [0, 0, 0, 0]
+        assert not bare
+        assert not after
+
+    def test_mk_polish_loads_it(self, ghz_file, tmp_path):
+        codes, bare, after = _scipy_optimize_loaded(
+            [["bell", "--state", ghz_file, "--restarts", "2", "-o", str(tmp_path / "bell.json")]]
+        )
+        assert codes == [0] and not bare and after

@@ -12,7 +12,6 @@ from qmono.monogamy import (
     delta_d,
     discord_eof_pure_identity,
     interaction_information,
-    interaction_information_balance,
     kw_residual,
     prop1_check,
     prop2_residual,
@@ -199,12 +198,6 @@ class TestInteractionInformation:
     def test_w_zero(self):
         # pure states: two-site entropies equal the complementary one-site ones
         assert_allclose(interaction_information(w_state()), 0.0, atol=1e-10)
-
-    def test_balance_reported_not_asserted(self):
-        # the claimed equivalence I_ABC = J_AB + J_AC is only reported; check
-        # both sides are finite and that they differ in general
-        lhs, rhs = interaction_information_balance(w_state(), "A")
-        assert np.isfinite(lhs) and np.isfinite(rhs)
 
 
 class TestKoashiWinter:

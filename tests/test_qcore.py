@@ -7,7 +7,6 @@ from qmono.qcore import (
     DensityMatrix,
     PureState,
     binary_entropy,
-    eig_hermitian,
     load_state,
     partial_trace,
     permute_parties,
@@ -229,34 +228,6 @@ class TestEntropy:
                 s_pair = vn_entropy(partial_trace(rho, pair))
                 s_single = vn_entropy(partial_trace(rho, (single,)))
                 assert abs(s_pair - s_single) <= 1e-10
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        spec = eig_hermitian(np.eye(2))
-        assert_allclose(spec.values, [1, 1], atol=1e-14)
-
-    def test_half_half(self):
-        spec = eig_hermitian(np.diag([0.5, 0.5]))
-        assert_allclose(spec.values, [0.5, 0.5], atol=1e-14)
-
-    def test_pauli_x(self):
-        spec = eig_hermitian(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert_allclose(spec.values, [1, -1], atol=1e-14)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(8)
-        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        m = (g + g.conj().T) / 2
-        spec = eig_hermitian(m)
-        assert np.max(np.abs(spec.reconstruct() - m)) <= 1e-9
-        gram = spec.vectors.conj().T @ spec.vectors
-        assert np.max(np.abs(gram - np.eye(16))) <= 1e-10
-        assert np.all(np.diff(spec.values) <= 1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestSchmidt:
