@@ -15,7 +15,7 @@ For N = 3, tr(B_3 eta) = (1/2)[T(a1,a2',a3) + T(a1',a2,a3) + T(a1,a2,a3')
 - T(a1',a2',a3')] on the correlation tensor T_ijk = tr(eta s_i (x) s_j (x) s_k).
 It is linear in each party's pair (a_p, a_p'), so with the others fixed the
 best pair is a closed form (Werner & Wolf, PRA 64, 032112 (2001)): the
-see-saw that ``mk_optimize`` runs from many starts before a BFGS polish.
+see-saw that ``mk_optimize`` runs from many starts before a Newton polish.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, minimize
+from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, minimize, tangent_frame
 from .qcore import DensityMatrix, PureState
 
 _MAX_PARTIES = 6
@@ -35,9 +35,6 @@ _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # states at 2 restarts, 20 sweeps picked a 256-start reference's basin; 50 leave margin.
 _SEESAW_TOL = 1e-9  # stop once no start gains more than this in a sweep
 _SEESAW_MAX_SWEEPS = 50
-# Analytic-gradient BFGS: B_3 has O(1) curvature, so this gradient norm puts the
-# value within rounding of the local maximum (1e-14 of the reference there).
-_POLISH_OPTIONS = {"gtol": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -140,15 +137,23 @@ def _pair_gradients(t, a, ap, p: int):
     return c(bq, ar) + c(aq, br), c(aq, ar) - c(bq, br)
 
 
-def _negative_mk_and_gradient(x, t):
-    """-B_3 and its gradient in the 12 polar angles (a's then a''s)."""
-    theta, phi = x[0::2], x[1::2]
-    vec = _sphere(theta, phi)
-    pairs = [_pair_gradients(t, vec[:3], vec[3:], p) for p in range(3)]
-    grad = 0.5 * np.array([u for u, _ in pairs] + [v for _, v in pairs])  # dB_3/d(vec)
-    d_phi = np.sin(theta)[:, None] * np.stack([-np.sin(phi), np.cos(phi), 0 * phi], axis=-1)
-    jac = np.einsum("mx,dmx->md", grad, [_sphere(theta + np.pi / 2, phi), d_phi]).ravel()
-    return -(vec[0] @ grad[0] + vec[3] @ grad[3]), -jac
+def _chart_directions(xi, vec0, frame):
+    """The six unit directions normalize(vec0_i + frame_i xi_i) at a (P, 12) stack of
+    tangent coordinates, as (P, 6, 3), and the norms before normalizing, as (P, 6, 1)."""
+    w = vec0 + np.einsum("ijk,pik->pij", frame, xi.reshape(-1, 6, 2))
+    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    return w / norm, norm
+
+
+def _negative_mk_and_gradient(xi, t, vec0, frame):
+    """-B_3 and its gradient at a (P, 12) stack of tangent coordinates around the
+    directions vec0 (a's then a''s); ``frame`` holds a tangent basis at each as (6, 3, 2)."""
+    vec, norm = _chart_directions(xi, vec0, frame)
+    pairs = [_pair_gradients(t, vec[:, :3], vec[:, 3:], p) for p in range(3)]
+    grad = 0.5 * np.stack([u for u, _ in pairs] + [v for _, v in pairs], axis=1)  # dB_3/d(vec)
+    value = np.sum(vec[:, [0, 3]] * grad[:, [0, 3]], axis=(1, 2))  # B_3 at party p = 0
+    grad_w = (grad - np.sum(grad * vec, axis=-1, keepdims=True) * vec) / norm
+    return -value, -np.einsum("pij,ijk->pik", grad_w, frame).reshape(-1, 12)
 
 
 def mk_optimize(state, restarts: int = 100, seed: int = 0,
@@ -159,7 +164,8 @@ def mk_optimize(state, restarts: int = 100, seed: int = 0,
     and ``restarts`` random direction sets from ``default_rng(seed)``.
     See-saw sweeps (a_p = u/|u|, a_p' = v/|v|, party by party, on T computed
     once) raise all starts at once, a negative B_3 to |B_3| or more at the
-    first step; one BFGS run on the 12 angles, evaluated on T, polishes the best.
+    first step.  ``measures.minimize`` polishes the best in a chart of the tangent planes
+    at its six directions (12 coordinates, evaluated on T; no polar singularity).
 
     The value is |tr(B_3 eta)| recomputed from the 8x8 operator at the
     returned settings, which attain it: a lower bound on the true maximum.
@@ -186,9 +192,11 @@ def mk_optimize(state, restarts: int = 100, seed: int = 0,
         if np.max(value - old) <= _SEESAW_TOL:
             break
     best = int(np.argmax(value))
-    x0 = MKSettings(tuple(a[best]), tuple(ap[best])).to_angles()
-    x = minimize(_negative_mk_and_gradient, x0, args=(t,), jac=True, method="BFGS",
-                 options=_POLISH_OPTIONS).x
+    vec0 = np.concatenate([a[best], ap[best]])
+    frame = np.stack(tangent_frame(vec0), axis=-1)
+    xi = minimize(_negative_mk_and_gradient, np.zeros(12), args=(t, vec0, frame)).x
+    vec = _chart_directions(xi, vec0, frame)[0][0]  # (6, 3): a batch of one point
+    x = MKSettings(tuple(vec[:3]), tuple(vec[3:])).to_angles()
     return abs(float(np.trace(_mk_operator_from_angles(x) @ rho).real)), MKSettings.from_angles(x)
 
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from qmono import bell
 from qmono.bell import (
     MKSettings,
     mk_expectation,
@@ -214,6 +215,28 @@ class TestSeesawOracles:
             vals = [mk_optimize(state, restarts=k, seed=7)[0] for k in (1, 4, 16)]
             assert vals[1] >= vals[0] - 1e-9
             assert vals[2] >= vals[1] - 1e-9
+
+
+class TestNewtonPolish:
+    def test_matches_bfgs_from_the_same_start(self, polish_calls):
+        calls = polish_calls(bell)
+        values = [mk_optimize(s, restarts=2, seed=3)[0]
+                  for s in haar_states(60, 31) + ginibre_states(40, 32)]
+        assert len(calls) == 100
+        for val, (start, polished, ref) in zip(values, calls):
+            assert polished <= start
+            assert abs(polished - ref) <= 1e-12
+            assert abs(val + polished) <= 1e-12  # the returned value is the polished one
+
+    def test_degenerate_states_stay_finite(self):
+        product = np.zeros(8)
+        product[0] = 1.0
+        with np.errstate(all="raise"):
+            val, settings = mk_optimize(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), restarts=4, seed=0)
+            assert val == 0.0
+            val, _ = mk_optimize(PureState(product, (2, 2, 2)), restarts=4, seed=0)
+            assert abs(val - 1.0) <= 1e-12
+        assert all(np.isfinite(v).all() for v in settings.a + settings.a_prime)
 
 
 class TestClosedForm:

@@ -353,19 +353,21 @@ class TestTopLevel:
         assert "qmono" in res.stdout
 
 
-def _scipy_optimize_loaded(commands):
+def _scipy_loaded(commands):
     """Run each argv through ``qmono.cli.main`` in one fresh interpreter.
 
-    Returns the exit codes, and whether ``scipy.optimize`` was imported after
+    Returns the exit codes, and whether any ``scipy`` module was imported after
     ``import qmono`` and after the commands.
     """
     script = (
         "import json, sys\n"
+        "def scipy_loaded():\n"
+        "    return any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
         "import qmono\n"
-        "bare = 'scipy.optimize' in sys.modules\n"
+        "bare = scipy_loaded()\n"
         "from qmono.cli import main\n"
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, bare, 'scipy.optimize' in sys.modules]))\n"
+        "print(json.dumps([codes, bare, scipy_loaded()]))\n"
     )
     src = str(Path(qmono.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -377,11 +379,11 @@ def _scipy_optimize_loaded(commands):
 
 
 class TestLazyScipyImport:
-    """Only the BFGS polishes need scipy.optimize; nothing else may import it."""
+    """scipy is a test-only dependency: no command may import it."""
 
     def test_closed_form_commands_skip_it(self, ghz_file, tmp_path):
         out = str(tmp_path)
-        codes, bare, after = _scipy_optimize_loaded([
+        codes, bare, after = _scipy_loaded([
             ["sample", "-n", "20", "-o", f"{out}/sample.csv", "--summary-json", f"{out}/s.json"],
             ["scan", "--family", "ghz-sym", "--mk", "closed", "--axis", "theta=0:0.8:2",
              "--axis", "kappa=0", "--axis", "alpha=0:1.5:3", "-o", f"{out}/scan.csv"],
@@ -392,8 +394,21 @@ class TestLazyScipyImport:
         assert not bare
         assert not after
 
-    def test_mk_polish_loads_it(self, ghz_file, tmp_path):
-        codes, bare, after = _scipy_optimize_loaded(
-            [["bell", "--state", ghz_file, "--restarts", "2", "-o", str(tmp_path / "bell.json")]]
-        )
-        assert codes == [0] and not bare and after
+    def test_polishes_skip_it(self, ghz_file, tmp_path):
+        # the MK polish (bell, path and scan) and the U(d) polish (a rank-4 state)
+        g = np.random.default_rng(63).standard_normal((8, 4, 2)) @ [1, 1j]
+        rank4 = tmp_path / "rank4.json"
+        save_state(DensityMatrix(g @ g.conj().T / np.sum(np.abs(g) ** 2), (2, 2, 2)), rank4)
+        out = str(tmp_path)
+        codes, bare, after = _scipy_loaded([
+            ["bell", "--state", ghz_file, "--restarts", "2", "-o", f"{out}/bell.json"],
+            ["path", "--id", "ghz", "--mk", "optimize", "--resolution", "2", "-o", f"{out}/path.csv"],
+            ["scan", "--family", "ghz-sym", "--mk", "optimize", "--axis", "theta=0.3",
+             "--axis", "kappa=0", "--axis", "alpha=1", "-o", f"{out}/scan.csv"],
+            ["measures", "--state", str(rank4), "--restarts", "2", "-o", f"{out}/measures.json"],
+        ])
+        assert codes == [0, 0, 0, 0]
+        assert not bare
+        assert not after
+        report = json.loads(Path(f"{out}/measures.json").read_text())
+        assert report["D_A_BC_kernel"] == "unitary-search"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qmono import measures
 from qmono.measures import (
     DiscordResult,
     MeasurementBasis,
@@ -15,6 +16,7 @@ from qmono.measures import (
     conditional_entropy_qubit_batch,
     discord,
     eof_pure,
+    minimize,
     eof_two_qubit,
     mutual_information,
     unitary_from_angles,
@@ -376,6 +378,39 @@ class TestDim4MeasuredSide:
             )
             val, _ = conditional_entropy_min(rho, BC_MEASURED, restarts=16, seed=0)
             assert val <= oracle + 1e-9
+
+
+class TestNewtonPolish:
+    def test_descends_from_near_a_saddle(self):
+        def fun(xs):  # x^2 - y^2 + y^4: a saddle at 0, minima -1/4 at y = +-1/sqrt(2)
+            x, y = xs[:, 0], xs[:, 1]
+            return x**2 - y**2 + y**4, np.stack([2 * x, 4 * y**3 - 2 * y], axis=1)
+
+        res = minimize(fun, np.array([0.5, 1e-3]))
+        assert abs(res.fun + 0.25) <= 1e-15
+        assert_allclose(np.abs(res.x), [0.0, 2**-0.5], atol=1e-9)
+
+    def test_matches_bfgs_from_the_same_start(self, polish_calls):
+        calls = polish_calls(measures)
+        rng = np.random.default_rng(71)
+        for rank in (3, 4, 5, 6, 7, 8) * 2:
+            _minimize_dim4_side(wishart_state(rng, 8, (2, 2, 2), rank=rank).matrix, 2, restarts=4, seed=0)
+        for seed in range(4):  # d = 3: the measured qutrit of a [3, 2, 2] state
+            rho = partial_trace(haar_random(seed, (3, 2, 2)).density(), ("A", "B"))
+            conditional_entropy_min(rho, Bipartition(("B",), ("A",)), restarts=4, seed=seed)
+        assert len(calls) == 16
+        for start, polished, ref in calls:
+            assert polished <= start
+            assert abs(polished - ref) <= 1e-12
+
+    def test_degenerate_states_stay_finite(self):
+        product = np.zeros((8, 8), dtype=complex)
+        product[0, 0] = 1.0
+        with np.errstate(all="raise"):
+            for m, want in ((np.eye(8, dtype=complex) / 8, 1.0), (product, 0.0)):
+                val, u, trace = _minimize_dim4_side(m, 2, restarts=4, seed=0)
+                assert abs(val - want) <= 1e-12  # S(A|BC) = S_A: A is uncorrelated
+                assert np.isfinite(u).all() and np.isfinite(trace.gap)
 
 
 class TestMeasuredQutrit:
