@@ -13,6 +13,7 @@ bit-identical across runs with the same inputs.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -224,14 +225,6 @@ def family_states(family: str, rows: np.ndarray) -> np.ndarray:
     return amps / norms[:, None]
 
 
-def _family_delta_d(family: str, rows: np.ndarray) -> np.ndarray:
-    rows = np.atleast_2d(rows)
-    out = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], _CHUNK):
-        out[i : i + _CHUNK] = delta_d_batch(family_states(family, rows[i : i + _CHUNK]))
-    return out
-
-
 # --- operations -----------------------------------------------------------------
 
 
@@ -296,22 +289,11 @@ def grid_scan(
     return records
 
 
-def _lockstep_bisect(eval_rows, lo, hi, f_lo, f_hi, xtol: float, max_rounds: int = 64):
-    """Vectorized bisection on per-item brackets; f must change sign inside."""
-    lo, hi = lo.copy(), hi.copy()
-    f_lo, f_hi = f_lo.copy(), f_hi.copy()
-    rounds = 0
-    while np.max(hi - lo) > xtol and rounds < max_rounds:
-        mid = (lo + hi) / 2
-        f_mid = eval_rows(mid)
-        left = f_lo * f_mid <= 0
-        hi = np.where(left, mid, hi)
-        f_hi = np.where(left, f_mid, f_hi)
-        lo = np.where(left, lo, mid)
-        f_lo = np.where(left, f_lo, f_mid)
-        rounds += 1
-    return lo, hi, f_lo, f_hi
-
+# States per midpoint-tree call, over all brackets.  A kernel call's fixed cost
+# (150-250 us) is that of 80-120 states (2-3 us each), so a tree within this budget
+# costs at most one call saved: 6 levels per call at 1 bracket, 5 at 2-3, 4 at 4-6,
+# 3 at 7-14, 2 at 15-33 and 1 (plain bisection) from 34 brackets on.
+_TREE_STATES = 100
 
 # Brackets with an endpoint below this |delta_D| are not crossings.  The
 # closed form rounds at ~1e-15 (the Fig 2 line's alpha = 0 face reads
@@ -321,6 +303,80 @@ def _lockstep_bisect(eval_rows, lo, hi, f_lo, f_hi, xtol: float, max_rounds: int
 # the Fig 2 line and the two paths keep both bracket ends above 6.7e-6 at
 # 60-400 presamples, and their counts (1, 3, 1) are the same at 1e-12 and 1e-7.
 NOISE_FLOOR_DEFAULT = 1e-7
+
+
+def _delta_along(family: str, base: np.ndarray, axis_idx: int, xs: np.ndarray) -> np.ndarray:
+    """(n, m) delta_D at parameter row ``base[i]`` with column ``axis_idx`` set to ``xs[i, j]``."""
+    rows = np.repeat(base, xs.shape[1], axis=0)
+    rows[:, axis_idx] = xs.ravel()
+    out = np.empty(rows.shape[0])
+    for i in range(0, rows.shape[0], _CHUNK):
+        out[i : i + _CHUNK] = delta_d_batch(family_states(family, rows[i : i + _CHUNK]))
+    return out.reshape(xs.shape)
+
+
+def _check_root_inputs(lo, hi, presample, xtol, noise_floor, params) -> None:
+    if presample < 2:
+        raise ValueError(f"presample must be >= 2, got {presample}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"need a finite range lo < hi, got [{lo}, {hi}]")
+    if not xtol > 0:
+        raise ValueError(f"xtol must be > 0, got {xtol}")
+    if not noise_floor >= 0:
+        raise ValueError(f"noise_floor must be >= 0, got {noise_floor}")
+    if not np.all(np.isfinite(params)):
+        raise ValueError("fixed parameters must be finite")
+
+
+def _sign_changes(vals: np.ndarray, noise_floor: float) -> np.ndarray:
+    """(n, m - 1) mask of the strict sign changes along the rows of ``vals`` whose
+    ends both clear ``noise_floor``; the number rejected there is logged at DEBUG."""
+    strict = vals[:, :-1] * vals[:, 1:] < 0
+    clear = np.abs(vals) > noise_floor
+    ok = strict & clear[:, :-1] & clear[:, 1:]
+    rejected = np.count_nonzero(strict & ~ok)
+    # Not imported here (~0.4 MB, ~6 ms): until something imports logging, no
+    # handler or level is set that could take a DEBUG record.
+    logging = sys.modules.get("logging")
+    if rejected and logging:
+        message = "%d sign changes rejected at noise floor %g"
+        logging.getLogger("qmono").debug(message, rejected, noise_floor)
+    return ok
+
+
+def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float, max_rounds: int = 64):
+    """Bisect delta_D along column ``axis_idx`` of each row of ``base`` on [lo, hi].
+
+    One kernel call evaluates the next ``depth`` levels of every bracket's
+    midpoint tree (2^depth - 1 points, each (a + b) / 2 of its node's
+    interval); ``depth`` is the most that keeps a call within ``_TREE_STATES``
+    states, and at least 1.  The walk down keeps [lo, mid] where
+    f_lo * f_mid <= 0, else [mid, hi], all brackets in lockstep while
+    max(hi - lo) > xtol, for at most ``max_rounds`` levels: every mid,
+    f-value and bracket is scalar bisection's.
+    """
+    idx = np.arange(lo.size)
+    depth = max(1, (_TREE_STATES // lo.size + 1).bit_length() - 1)  # n (2^depth - 1) <= budget
+    rounds = 0
+    while np.max(hi - lo) > xtol and rounds < max_rounds:
+        level = rounds % depth
+        if level == 0:  # level k is columns 2^k - 1 ...; node j's children are 2j and 2j + 1
+            a, b, mids = lo[:, None], hi[:, None], []
+            for _ in range(depth):
+                m = (a + b) / 2
+                mids.append(m)
+                a, b = (np.stack(ends, 2).reshape(lo.size, -1) for ends in ((a, m), (m, b)))
+            mids = np.concatenate(mids, axis=1)
+            f = _delta_along(family, base, axis_idx, mids)
+            node = np.zeros(lo.size, dtype=int)
+        col = 2**level - 1 + node
+        mid, f_mid = mids[idx, col], f[idx, col]
+        left = f_lo * f_mid <= 0
+        hi, f_hi = np.where(left, mid, hi), np.where(left, f_mid, f_hi)
+        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
+        node = 2 * node + ~left
+        rounds += 1
+    return lo, hi, f_lo, f_hi
 
 
 def find_zero_crossings(
@@ -335,11 +391,13 @@ def find_zero_crossings(
 ) -> list[ZeroCrossing]:
     """Sign changes of delta_D along one axis, refined by bisection.
 
-    The presample brackets every strict sign change whose endpoints both
-    clear ``noise_floor``; this keeps rounding around the degenerate faces
-    (where delta_D is genuinely zero) from minting crossings, and it
-    excludes face contacts from the interior count.  An empty list means no
-    crossing was found, which is not an error.
+    One kernel call evaluates linspace(lo, hi, presample), which brackets
+    every strict sign change whose endpoints both clear ``noise_floor``; this
+    keeps rounding around the degenerate faces (where delta_D is genuinely
+    zero) from minting crossings, and it excludes face contacts from the
+    interior count.  ``_lockstep_bisect`` refines all brackets at once, a
+    few levels per call, to the results of scalar bisection.  An empty list
+    means no crossing was found, which is not an error.
     """
     names = FAMILY_PARAMS[family]
     if axis not in names:
@@ -347,29 +405,18 @@ def find_zero_crossings(
     missing = set(names) - {axis} - set(fixed)
     if missing:
         raise ValueError(f"missing fixed parameters {sorted(missing)}")
+    base = np.array([[0.0 if n == axis else fixed[n] for n in names]], dtype=float)
+    _check_root_inputs(lo, hi, presample, xtol, noise_floor, base)
     axis_idx = names.index(axis)
 
-    def rows_for(xs):
-        rows = np.empty((xs.size, len(names)))
-        for j, n in enumerate(names):
-            rows[:, j] = xs if n == axis else fixed[n]
-        return rows
-
-    def eval_axis(xs):
-        return _family_delta_d(family, rows_for(np.asarray(xs)))
-
     xs = np.linspace(lo, hi, presample)
-    vals = eval_axis(xs)
-    sign_change = (
-        (vals[:-1] * vals[1:] < 0)
-        & (np.abs(vals[:-1]) > noise_floor)
-        & (np.abs(vals[1:]) > noise_floor)
-    )
-    idx = np.nonzero(sign_change)[0]
+    vals = _delta_along(family, base, axis_idx, xs[None])[0]
+    idx = np.nonzero(_sign_changes(vals[None], noise_floor)[0])[0]
     if idx.size == 0:
         return []
     b_lo, b_hi, f_lo, f_hi = _lockstep_bisect(
-        eval_axis, xs[idx], xs[idx + 1], vals[idx], vals[idx + 1], xtol
+        family, base.repeat(idx.size, axis=0), axis_idx,
+        xs[idx], xs[idx + 1], vals[idx], vals[idx + 1], xtol,
     )
     fixed_t = tuple((n, float(fixed[n])) for n in names if n != axis)
     return [
@@ -397,52 +444,41 @@ def surface_zero(
 ) -> list[SurfacePoint]:
     """Interior delta_D = 0 point along alpha for each (theta, kappa).
 
-    Also evaluates the closed-form surface condition 2 H(h) = H(e1) at each
-    found point, where h comes from the closed-form marginal concurrence and
-    e1 from the single-site spectrum; the residual is recorded per point.
+    One kernel call evaluates every cell at linspace(alpha_lo, alpha_hi,
+    presample).  Each cell's first sign change whose ends clear ``noise_floor``
+    is refined by ``_lockstep_bisect``, all cells at once, a few levels per
+    call (one from 34 cells on); alpha* is the final midpoint, as in scalar
+    bisection, and one more call gives delta_D there.  Also evaluates the
+    closed-form surface condition 2 H(h) = H(e1) at each point, h from the
+    closed-form marginal concurrence and e1 from the single-site spectrum;
+    the residual is kept.
     """
-    thetas = np.asarray(thetas, dtype=float).ravel()
-    kappas = np.asarray(kappas, dtype=float).ravel()
-    tt, kk = np.meshgrid(thetas, kappas, indexing="ij")
-    tt, kk = tt.ravel(), kk.ravel()
-
-    def eval_alpha(alphas):
-        rows = np.stack([tt, kk, alphas], axis=1)
-        return _family_delta_d("ghz-sym", rows)
+    tt, kk = np.meshgrid(np.ravel(thetas), np.ravel(kappas), indexing="ij")
+    cells = np.stack([tt.ravel(), kk.ravel(), np.zeros(tt.size)], axis=1)
+    _check_root_inputs(alpha_lo, alpha_hi, presample, xtol, noise_floor, cells)
 
     grid = np.linspace(alpha_lo, alpha_hi, presample)
-    vals = np.stack([eval_alpha(np.full(tt.shape, a)) for a in grid], axis=1)
-    sign_change = (
-        (vals[:, :-1] * vals[:, 1:] < 0)
-        & (np.abs(vals[:, :-1]) > noise_floor)
-        & (np.abs(vals[:, 1:]) > noise_floor)
+    vals = _delta_along("ghz-sym", cells, 2, np.broadcast_to(grid, (len(cells), presample)))
+    sign_change = _sign_changes(vals, noise_floor)
+    sel = np.nonzero(sign_change.any(axis=1))[0]
+    if sel.size == 0:
+        return []
+    first = np.argmax(sign_change[sel], axis=1)
+    base = cells[sel]
+    b_lo, b_hi, _, _ = _lockstep_bisect(
+        "ghz-sym", base, 2, grid[first], grid[first + 1],
+        vals[sel, first], vals[sel, first + 1], xtol,
     )
-    has = sign_change.any(axis=1)
-    first = np.argmax(sign_change, axis=1)
-
-    out: list[SurfacePoint] = []
-    if not has.any():
-        return out
-    sel = np.nonzero(has)[0]
-    lo = grid[first[sel]]
-    hi = grid[first[sel] + 1]
-    f_lo = vals[sel, first[sel]]
-    f_hi = vals[sel, first[sel] + 1]
-    tt_s, kk_s = tt[sel], kk[sel]
-
-    def eval_sel(alphas):
-        rows = np.stack([tt_s, kk_s, alphas], axis=1)
-        return _family_delta_d("ghz-sym", rows)
-
-    b_lo, b_hi, _, _ = _lockstep_bisect(eval_sel, lo, hi, f_lo, f_hi, xtol)
     astar = (b_lo + b_hi) / 2
-    dd = eval_sel(astar)
+    tt_s, kk_s = base[:, 0], base[:, 1]
     amps = family_states("ghz-sym", np.stack([tt_s, kk_s, astar], axis=1))
+    dd = delta_d_batch(amps)
     gg = ggm_batch(amps)
     ra = _single_site(amps, 0)
     e1 = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])  # = H(e_1)
 
     conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)  # NaN out of domain
+    out: list[SurfacePoint] = []
     for i in range(sel.size):
         in_domain = not np.isnan(conc[i])
         residual = None
