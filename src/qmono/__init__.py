@@ -62,7 +62,7 @@ from .states import (
 from .scan import (
     Prop4Result,
     SampleSummary,
-    ScanRecord,
+    ScanTable,
     SurfacePoint,
     ZeroCrossing,
     find_zero_crossings,

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .monogamy import delta_d
 from .qcore import load_state
 from .scan import (
     FAMILY_PARAMS,
+    MK_MODES,
     find_zero_crossings,
     grid_scan,
     path_trace,
@@ -29,27 +30,6 @@ from .scan import (
     surface_zero,
     write_csv,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective options of one invocation, canonicalizable for audit."""
-
-    subcommand: str
-    options: tuple[tuple[str, object], ...]
-
-    def canonical_text(self) -> str:
-        lines = [f"subcommand = {self.subcommand}"]
-        for key, value in sorted(self.options):
-            if value is None:
-                continue
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        opts = {k: v for k, v in vars(ns).items() if k not in ("subcommand", "func", "config")}
-        return cls(ns.subcommand, tuple(sorted(opts.items())))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -118,12 +98,12 @@ def _cmd_scan(ns) -> int:
     if missing:
         raise SystemExit2(f"missing axis {sorted(missing)} for family {ns.family!r}")
     axes = [(n, _axis_values(specs[n])) for n in names]
-    records = grid_scan(
+    table = grid_scan(
         ns.family, axes, epsilon=ns.epsilon, mk_mode=ns.mk,
         mk_restarts=ns.restarts, seed=ns.seed,
     )
-    write_csv(records, ns.output)
-    print(f"wrote {len(records)} records to {ns.output}")
+    write_csv(table, ns.output)
+    print(f"wrote {len(table)} records to {ns.output}")
     return 0
 
 
@@ -153,17 +133,13 @@ def _cmd_surface(ns) -> int:
 def _cmd_path(ns) -> int:
     if ns.resolution < 2:
         raise SystemExit2(f"--resolution must be >= 2, got {ns.resolution}")
-    records = path_trace(
+    table = path_trace(
         ns.id, ns.resolution, epsilon=ns.epsilon, mk_mode=ns.mk,
         mk_restarts=ns.restarts, seed=ns.seed,
     )
-    write_csv(records, ns.output)
-    flips = sum(
-        1
-        for a, b in zip(records, records[1:])
-        if a.delta_d * b.delta_d < 0
-    )
-    print(f"wrote {len(records)} records to {ns.output}; delta_D sign changes: {flips}")
+    write_csv(table, ns.output)
+    flips = np.count_nonzero(table.delta_d[:-1] * table.delta_d[1:] < 0)
+    print(f"wrote {len(table)} records to {ns.output}; delta_D sign changes: {flips}")
     return 0
 
 
@@ -178,18 +154,8 @@ def _cmd_sample(ns) -> int:
         f"max_ggm_overall={_float_fmt(summary.max_ggm_overall)}"
     )
     if ns.summary_json:
-        data = {
-            "n": summary.n,
-            "seed": summary.seed,
-            "epsilon": summary.epsilon,
-            "band_count": summary.band_count,
-            "max_ggm_in_band": summary.max_ggm_in_band,
-            "max_ggm_overall": summary.max_ggm_overall,
-            "delta_hist": summary.delta_hist,
-            "band_ggm_hist": summary.band_ggm_hist,
-        }
         with open(ns.summary_json, "w") as fh:
-            json.dump(data, fh, indent=1)
+            json.dump(asdict(summary), fh, indent=1)
     return 0
 
 
@@ -241,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one per family parameter; single values allowed",
     )
     p.add_argument("--epsilon", type=float, default=1e-4, help="zero-band half width")
-    p.add_argument("--mk", choices=["closed", "optimize", "skip"], default=None)
+    p.add_argument("--mk", choices=MK_MODES, default=None)
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     common(p, restarts=24)
     p.set_defaults(func=_cmd_scan)

@@ -1,57 +1,60 @@
 """Experiment driver: grid sweeps, zero crossings, sampling, path traces.
 
 Everything here works on batches of three-qubit pure states with nodal
-observer A.  The per-state scores are exact closed forms: by the
-Koashi-Winter identity the minimum measured S(A|B) of a pure state equals
-E_f(AC), so delta_D = S_A - E_f(AB) - E_f(AC), with both concurrences taken
-from the rank-2 marginals' amplitudes.  A sweep over 10^5 states stays in
-large numpy operations.  All randomness is seed-in, state-out; grid
-orderings are row-major over the axes as given, and outputs are
-bit-identical across runs with the same inputs.
+observer A, built by ``states.family_states`` or drawn Haar-random.  The
+per-state scores are exact closed forms: by the Koashi-Winter identity the
+minimum measured S(A|B) of a pure state equals E_f(AC), so
+delta_D = S_A - E_f(AB) - E_f(AC), with both concurrences taken from the
+rank-2 marginals' amplitudes.  ``grid_scan`` (and ``path_trace``, a one-axis
+grid) and ``sample_experiment`` score their states in one chunked pass into
+the columns of a ``ScanTable``, which ``write_csv`` formats.  All randomness
+is seed-in, state-out; grid orderings are row-major over the axes as given,
+and outputs are bit-identical across runs with the same inputs.
 """
 
 from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bell import MKSettings, mk_optimize, mk_symmetric_closed_form
+from .bell import mk_optimize, mk_symmetric_closed_form
 from .measures import _YY, _eig2, _eig2_entropy, eof_batch, eof_two_qubit
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
 from .monogamy import ZERO_BAND_DEFAULT
 from .multient import ggm
 from .qcore import PureState, binary_entropy, partial_trace, vn_entropy
-from .states import PATH_GHZ_ENDPOINT, PATH_W_ENDPOINT, haar_random_amplitudes
+from .states import FAMILY_PARAMS, family_states, haar_random_amplitudes  # the last two timed by bench/spans.py
 from .states import symmetric_concurrence_closed_form
 
-FAMILY_PARAMS = {
-    "ghz-sym": ("theta", "kappa", "alpha"),
-    "ghz": ("theta", "kappa", "alpha1", "alpha2", "alpha3"),
-    "w": ("theta1", "theta2", "theta3", "phi1", "phi2", "phi3"),
-    "path-ghz": ("mu",),
-    "path-w-ghz": ("tau",),
-}
-
-_PATH_GHZ_END = (PATH_GHZ_ENDPOINT.theta, PATH_GHZ_ENDPOINT.kappa, *PATH_GHZ_ENDPOINT.alphas)
-_PATH_W_END = astuple(PATH_W_ENDPOINT)
+MK_MODES = ("closed", "optimize", "skip")
 
 
-# --- record types -------------------------------------------------------------
+# --- result types -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+@dataclass(frozen=True, eq=False)
+class ScanTable:
+    """Columns of a scan, one row per state, in the order the states were given.
+
+    ``params`` is (K, k); the other columns have length K.  ``mk`` is None when
+    MK was skipped and ``sym_residual`` (S_A / 2 - S(A|B), zero on the
+    symmetric family's delta_D = 0 surface) is set for ghz-sym only.
+    """
+
     family: str
-    params: tuple[float, ...]
-    delta_d: float
-    delta_c: float | None
-    ggm: float
-    mk: float | None
-    sym_residual: float | None
-    zero_band: bool
+    params: np.ndarray
+    delta_d: np.ndarray
+    delta_c: np.ndarray
+    ggm: np.ndarray
+    mk: np.ndarray | None
+    sym_residual: np.ndarray | None
+    zero_band: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.delta_d)
 
 
 @dataclass(frozen=True)
@@ -172,60 +175,20 @@ def delta_c_batch(amps: np.ndarray) -> np.ndarray:
     return pure_scores_batch(amps)[1]
 
 
-# --- state-family evaluation ----------------------------------------------------
-
-
-def family_states(family: str, rows: np.ndarray) -> np.ndarray:
-    """(K, 8) normalized amplitudes for parameter rows of a named family."""
-    if family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family {family!r}")
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    want = len(FAMILY_PARAMS[family])
-    if rows.shape[1] != want:
-        raise ValueError(f"family {family!r} takes {want} parameters per row")
-    k = rows.shape[0]
-    if family in ("ghz", "ghz-sym"):
-        if family == "ghz-sym":
-            theta, kappa = rows[:, 0], rows[:, 1]
-            al = rows[:, 2][:, None].repeat(3, axis=1)
-        else:
-            theta, kappa = rows[:, 0], rows[:, 1]
-            al = rows[:, 2:5]
-        cos_a, sin_a = np.cos(al), np.sin(al)
-        amps = np.empty((k, 8), dtype=complex)
-        branch = np.empty((k, 8))
-        for idx in range(8):
-            bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-            cols = [sin_a[:, j] if b else cos_a[:, j] for j, b in enumerate(bits)]
-            branch[:, idx] = cols[0] * cols[1] * cols[2]
-        amps[:] = (np.exp(1j * kappa) * np.sin(theta))[:, None] * branch
-        amps[:, 0] += np.cos(theta)
-    elif family == "w":
-        t1, t2, t3, p1, p2, p3 = rows.T
-        amps = np.zeros((k, 8), dtype=complex)
-        amps[:, 0b000] = np.cos(t1 / 2)
-        amps[:, 0b001] = np.sin(t1 / 2) * np.sin(t2 / 2) * np.cos(t3 / 2) * np.exp(1j * p1)
-        amps[:, 0b010] = np.sin(t1 / 2) * np.sin(t2 / 2) * np.sin(t3 / 2) * np.exp(1j * p2)
-        amps[:, 0b100] = np.sin(t1 / 2) * np.cos(t2 / 2) * np.exp(1j * p3)
-    elif family in ("path-ghz", "path-w-ghz"):
-        if family == "path-ghz":
-            end = family_states("ghz", np.array([_PATH_GHZ_END]))[0]
-        else:
-            end = family_states("w", np.array([_PATH_W_END]))[0]
-        ghz = np.zeros(8, dtype=complex)
-        ghz[0] = ghz[7] = 1 / np.sqrt(2)
-        mu = rows[:, 0]
-        amps = np.cos(mu)[:, None] * end[None, :] + np.sin(mu)[:, None] * ghz[None, :]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    norms = np.linalg.norm(amps, axis=1)
-    if np.any(norms < 1e-12):
-        bad = rows[norms < 1e-12][0]
-        raise ValueError(f"family {family!r} parameters {tuple(bad)} give the zero vector")
-    return amps / norms[:, None]
-
-
 # --- operations -----------------------------------------------------------------
+
+
+def _score(family: str, params: np.ndarray, amps: np.ndarray, epsilon: float) -> ScanTable:
+    """The ScanTable of (K, 8) amplitudes without MK, ``_CHUNK`` states per kernel call."""
+    n = len(amps)
+    dd, dc, gg, sym = (np.empty(n) for _ in range(4))
+    for i in range(0, n, _CHUNK):
+        sl = slice(i, i + _CHUNK)
+        dd[sl], dc[sl], s_a, cond_ab, _ = pure_scores_batch(amps[sl])
+        sym[sl] = 0.5 * s_a - cond_ab
+        gg[sl] = ggm_batch(amps[sl])
+    sym = sym if family == "ghz-sym" else None
+    return ScanTable(family, params, dd, dc, gg, None, sym, np.abs(dd) < epsilon)
 
 
 def grid_scan(
@@ -235,12 +198,13 @@ def grid_scan(
     mk_mode: str | None = None,
     mk_restarts: int = 24,
     seed: int = 0,
-) -> list[ScanRecord]:
-    """One record per grid point, row-major over the axes as listed.
+) -> ScanTable:
+    """One row per grid point, row-major over the axes as listed.
 
     ``axes`` is a sequence of (name, values) pairs covering the family's
     parameters.  ``mk_mode`` is "closed" (symmetric closed form, nu = 0),
-    "optimize", or "skip" (default: "closed" for ghz-sym, else "skip").
+    "optimize" (``mk_optimize`` per point, warm-started from the previous
+    point's settings) or "skip" (default: "closed" for ghz-sym, else "skip").
     """
     names = [n for n, _ in axes]
     if tuple(names) != FAMILY_PARAMS[family]:
@@ -254,39 +218,24 @@ def grid_scan(
     rows = np.stack([m.ravel() for m in mesh], axis=1)
     if mk_mode is None:
         mk_mode = "closed" if family == "ghz-sym" else "skip"
+    if mk_mode not in MK_MODES:
+        raise ValueError(f"mk_mode must be one of {MK_MODES}, got {mk_mode!r}")
     if mk_mode == "closed" and family != "ghz-sym":
         raise ValueError("closed-form MK is defined for the ghz-sym family only")
 
-    records: list[ScanRecord] = []
-    warm: MKSettings | None = None
-    for i in range(0, rows.shape[0], _CHUNK):
-        part = rows[i : i + _CHUNK]
-        amps = family_states(family, part)
-        dd, dc, s_a, cond_ab, _ = pure_scores_batch(amps)
-        gg = ggm_batch(amps)
-        sym = 0.5 * s_a - cond_ab if family == "ghz-sym" else None
-        if mk_mode == "closed":
-            mk = mk_symmetric_closed_form(part[:, 0], part[:, 2], part[:, 1])
-        for j in range(part.shape[0]):
-            if mk_mode == "closed":
-                mk_j = float(mk[j])
-            elif mk_mode == "optimize":
-                mk_j, warm = mk_optimize(amps[j], restarts=mk_restarts, seed=seed, initial=warm)
-            else:
-                mk_j = None
-            records.append(
-                ScanRecord(
-                    family=family,
-                    params=tuple(float(x) for x in part[j]),
-                    delta_d=float(dd[j]),
-                    delta_c=float(dc[j]),
-                    ggm=float(gg[j]),
-                    mk=mk_j,
-                    sym_residual=None if sym is None else float(sym[j]),
-                    zero_band=bool(abs(dd[j]) < epsilon),
-                )
-            )
-    return records
+    amps = np.concatenate(
+        [family_states(family, rows[i : i + _CHUNK]) for i in range(0, len(rows), _CHUNK)]
+    )
+    table = _score(family, rows, amps, epsilon)
+    if mk_mode == "closed":
+        mk = mk_symmetric_closed_form(rows[:, 0], rows[:, 2], rows[:, 1])
+    elif mk_mode == "optimize":
+        mk, warm = np.empty(len(rows)), None
+        for j, psi in enumerate(amps):
+            mk[j], warm = mk_optimize(psi, restarts=mk_restarts, seed=seed, initial=warm)
+    else:
+        return table
+    return replace(table, mk=mk)
 
 
 # States per midpoint-tree call, over all brackets.  A kernel call's fixed cost
@@ -353,12 +302,16 @@ def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float, ma
     states, and at least 1.  The walk down keeps [lo, mid] where
     f_lo * f_mid <= 0, else [mid, hi], all brackets in lockstep while
     max(hi - lo) > xtol, for at most ``max_rounds`` levels: every mid,
-    f-value and bracket is scalar bisection's.
+    f-value and bracket is scalar bisection's.  It stops early once no
+    midpoint lies strictly inside its bracket, since later rounds would
+    move none.
     """
     idx = np.arange(lo.size)
     depth = max(1, (_TREE_STATES // lo.size + 1).bit_length() - 1)  # n (2^depth - 1) <= budget
     rounds = 0
     while np.max(hi - lo) > xtol and rounds < max_rounds:
+        if not np.any((lo < (lo + hi) / 2) & ((lo + hi) / 2 < hi)):
+            break  # every bracket is one float spacing wide
         level = rounds % depth
         if level == 0:  # level k is columns 2^k - 1 ...; node j's children are 2j and 2j + 1
             a, b, mids = lo[:, None], hi[:, None], []
@@ -505,17 +458,14 @@ def sample_experiment(
     epsilon: float = 1e-3,
     per_sample_path=None,
 ) -> SampleSummary:
-    """Haar-sample delta_D and GGM; band statistics with |delta_D| < epsilon."""
+    """Haar-sample delta_D and GGM; band statistics with |delta_D| < epsilon.
+
+    ``per_sample_path`` gets ``write_csv`` rows: family "haar", p1 the sample index."""
     if n < 1:
         raise ValueError("need n >= 1")
     amps = haar_random_amplitudes(n, seed)
-    dd, dc, gg = np.empty(n), np.empty(n), np.empty(n)
-    for i in range(0, n, _CHUNK):
-        sl = slice(i, i + _CHUNK)
-        dd[sl], dc[sl] = pure_scores_batch(amps[sl])[:2]
-        gg[sl] = ggm_batch(amps[sl])
-
-    band = np.abs(dd) < epsilon
+    table = _score("haar", np.arange(n, dtype=float)[:, None], amps, epsilon)
+    dd, gg, band = table.delta_d, table.ggm, table.zero_band
     d_counts, d_edges = np.histogram(dd, bins=60)
     if band.any():
         g_counts, g_edges = np.histogram(gg[band], bins=25, range=(0.0, 0.5))
@@ -523,23 +473,8 @@ def sample_experiment(
     else:
         g_counts, g_edges = np.histogram([], bins=25, range=(0.0, 0.5))
         max_in_band = None
-
     if per_sample_path is not None:
-        with open(per_sample_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["family", "p1", "delta_D", "delta_C", "ggm", "mk", "zero_band"])
-            for i in range(n):
-                w.writerow(
-                    [
-                        "haar",
-                        i,
-                        f"{dd[i]:.9g}",
-                        f"{dc[i]:.9g}",
-                        f"{gg[i]:.9g}",
-                        "",
-                        "true" if band[i] else "false",
-                    ]
-                )
+        write_csv(table, per_sample_path)
 
     return SampleSummary(
         n=n,
@@ -560,7 +495,7 @@ def path_trace(
     mk_mode: str = "optimize",
     mk_restarts: int = 24,
     seed: int = 0,
-) -> list[ScanRecord]:
+) -> ScanTable:
     """Evenly spaced trace of one interpolation path, with optional MK search.
 
     MK values come from the settings optimizer (warm-started point to point),
@@ -571,33 +506,10 @@ def path_trace(
     family = {"ghz": "path-ghz", "w-ghz": "path-w-ghz"}.get(path_id, path_id)
     if family not in ("path-ghz", "path-w-ghz"):
         raise ValueError(f"unknown path {path_id!r}")
-    xs = np.linspace(0.0, np.pi / 2, resolution)
-    rows = xs[:, None]
-    amps = family_states(family, rows)
-    dd, dc = pure_scores_batch(amps)[:2]
-    gg = ggm_batch(amps)
-    records = []
-    warm: MKSettings | None = None
-    for i in range(resolution):
-        if mk_mode == "optimize":
-            mk_val, warm = mk_optimize(amps[i], restarts=mk_restarts, seed=seed, initial=warm)
-        elif mk_mode == "skip":
-            mk_val = None
-        else:
-            raise ValueError("mk_mode must be 'optimize' or 'skip' for paths")
-        records.append(
-            ScanRecord(
-                family=family,
-                params=(float(xs[i]),),
-                delta_d=float(dd[i]),
-                delta_c=float(dc[i]),
-                ggm=float(gg[i]),
-                mk=mk_val,
-                sym_residual=None,
-                zero_band=bool(abs(dd[i]) < epsilon),
-            )
-        )
-    return records
+    if mk_mode not in ("optimize", "skip"):
+        raise ValueError("mk_mode must be 'optimize' or 'skip' for paths")
+    axis = (FAMILY_PARAMS[family][0], np.linspace(0.0, np.pi / 2, resolution))
+    return grid_scan(family, [axis], epsilon, mk_mode, mk_restarts, seed)
 
 
 def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAULT) -> Prop4Result:
@@ -627,25 +539,23 @@ def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAUL
 # --- CSV ------------------------------------------------------------------------
 
 
-def write_csv(records, path) -> None:
+def write_csv(table: ScanTable, path) -> None:
     """Rows ``family,p1..pk,delta_D,delta_C,ggm,mk,zero_band`` with 9-digit floats."""
-    records = list(records)
-    if not records:
+    n = len(table)
+    if not n:
         raise ValueError("no records to write")
-    k = len(records[0].params)
 
-    def fmt(v):
-        return "" if v is None else f"{v:.9g}"
+    def fmt(col):  # Python floats format faster than numpy scalars
+        return [""] * n if col is None else [f"{v:.9g}" for v in col.tolist()]
 
+    columns = [
+        [table.family] * n,
+        *(fmt(p) for p in table.params.T),
+        fmt(table.delta_d), fmt(table.delta_c), fmt(table.ggm), fmt(table.mk),
+        ["true" if b else "false" for b in table.zero_band.tolist()],
+    ]
+    header = ["family", *(f"p{i + 1}" for i in range(table.params.shape[1]))]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["family"] + [f"p{i + 1}" for i in range(k)] + ["delta_D", "delta_C", "ggm", "mk", "zero_band"]
-        )
-        for r in records:
-            w.writerow(
-                [r.family]
-                + [fmt(p) for p in r.params]
-                + [fmt(r.delta_d), fmt(r.delta_c), fmt(r.ggm), fmt(r.mk),
-                   "true" if r.zero_band else "false"]
-            )
+        w.writerow(header + ["delta_D", "delta_C", "ggm", "mk", "zero_band"])
+        w.writerows(zip(*columns))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -61,12 +61,7 @@ class WClassParams:
 
 def ghz_class(p: GHZClassParams) -> PureState:
     """Two-branch state, normalized (norm^2 = 1 + sin(2 theta) cos(kappa) prod cos(alpha_j))."""
-    kets = [np.array([np.cos(a), np.sin(a)]) for a in p.alphas]
-    branch = np.kron(np.kron(kets[0], kets[1]), kets[2])
-    amps = np.zeros(8, dtype=complex)
-    amps[0] = np.cos(p.theta)
-    amps = amps + np.exp(1j * p.kappa) * np.sin(p.theta) * branch
-    return PureState(amps, (2, 2, 2), _LABELS)
+    return _family_state("ghz", astuple(p)[:5])
 
 
 def symmetric_ghz(theta: float, kappa: float, alpha: float, degenerate: bool = True) -> PureState:
@@ -104,15 +99,7 @@ def symmetric_concurrence_closed_form(theta, kappa, alpha):
 
 def w_class(p: WClassParams) -> PureState:
     """Four-term W-class superposition with the half-angle amplitudes."""
-    amps = np.zeros(8, dtype=complex)
-    s1, c1 = np.sin(p.theta1 / 2), np.cos(p.theta1 / 2)
-    s2, c2 = np.sin(p.theta2 / 2), np.cos(p.theta2 / 2)
-    s3, c3 = np.sin(p.theta3 / 2), np.cos(p.theta3 / 2)
-    amps[0b000] = c1
-    amps[0b001] = s1 * s2 * c3 * np.exp(1j * p.phi1)
-    amps[0b010] = s1 * s2 * s3 * np.exp(1j * p.phi2)
-    amps[0b100] = s1 * c2 * np.exp(1j * p.phi3)
-    return PureState(amps, (2, 2, 2), _LABELS)
+    return _family_state("w", astuple(p))
 
 
 def ghz_state() -> PureState:
@@ -132,23 +119,82 @@ PATH_GHZ_ENDPOINT = GHZClassParams(0.7, 3.06, 0.55, 0.56, 0.63)
 PATH_W_ENDPOINT = WClassParams(3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
 
 
-def _superpose(a: PureState, b: PureState, ca: float, cb: float) -> PureState:
-    # endpoints are normalized first, then the combination is renormalized
-    return PureState(ca * a.amplitudes + cb * b.amplitudes, a.dims, a.labels)
-
-
 def path_ghz(mu: float) -> PureState:
     """cos(mu) |endpoint> + sin(mu) |GHZ| for mu in [0, pi/2]."""
     if not (0.0 <= mu <= np.pi / 2 + 1e-12):
         raise ValueError(f"mu={mu} outside [0, pi/2]")
-    return _superpose(ghz_class(PATH_GHZ_ENDPOINT), ghz_state(), np.cos(mu), np.sin(mu))
+    return _family_state("path-ghz", (mu,))
 
 
 def path_w_ghz(tau: float) -> PureState:
     """cos(tau) |W-class endpoint> + sin(tau) |GHZ| for tau in [0, pi/2]."""
     if not (0.0 <= tau <= np.pi / 2 + 1e-12):
         raise ValueError(f"tau={tau} outside [0, pi/2]")
-    return _superpose(w_class(PATH_W_ENDPOINT), ghz_state(), np.cos(tau), np.sin(tau))
+    return _family_state("path-w-ghz", (tau,))
+
+
+# --- batched family evaluation --------------------------------------------------
+
+FAMILY_PARAMS = {
+    "ghz-sym": ("theta", "kappa", "alpha"),
+    "ghz": ("theta", "kappa", "alpha1", "alpha2", "alpha3"),
+    "w": ("theta1", "theta2", "theta3", "phi1", "phi2", "phi3"),
+    "path-ghz": ("mu",),
+    "path-w-ghz": ("tau",),
+}
+
+
+def family_states(family: str, rows) -> np.ndarray:
+    """(K, 8) normalized amplitudes for parameter rows of a named family.
+
+    The only implementation of each family formula: ghz_class, w_class and
+    the path constructors are single rows of it.  The paths interpolate
+    between their (normalized) endpoint and |GHZ>, then renormalize.
+    """
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    want = len(FAMILY_PARAMS[family])
+    if rows.shape[1] != want:
+        raise ValueError(f"family {family!r} takes {want} parameters per row")
+    k = rows.shape[0]
+    if family in ("ghz", "ghz-sym"):
+        theta, kappa = rows[:, 0], rows[:, 1]
+        al = rows[:, 2][:, None].repeat(3, axis=1) if family == "ghz-sym" else rows[:, 2:5]
+        cos_a, sin_a = np.cos(al), np.sin(al)
+        amps = np.empty((k, 8), dtype=complex)
+        branch = np.empty((k, 8))
+        for idx in range(8):
+            bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
+            cols = [sin_a[:, j] if b else cos_a[:, j] for j, b in enumerate(bits)]
+            branch[:, idx] = cols[0] * cols[1] * cols[2]
+        amps[:] = (np.exp(1j * kappa) * np.sin(theta))[:, None] * branch
+        amps[:, 0] += np.cos(theta)
+    elif family == "w":
+        t1, t2, t3, p1, p2, p3 = rows.T
+        amps = np.zeros((k, 8), dtype=complex)
+        amps[:, 0b000] = np.cos(t1 / 2)
+        amps[:, 0b001] = np.sin(t1 / 2) * np.sin(t2 / 2) * np.cos(t3 / 2) * np.exp(1j * p1)
+        amps[:, 0b010] = np.sin(t1 / 2) * np.sin(t2 / 2) * np.sin(t3 / 2) * np.exp(1j * p2)
+        amps[:, 0b100] = np.sin(t1 / 2) * np.cos(t2 / 2) * np.exp(1j * p3)
+    else:
+        if family == "path-ghz":
+            end = family_states("ghz", [astuple(PATH_GHZ_ENDPOINT)[:5]])[0]
+        else:
+            end = family_states("w", [astuple(PATH_W_ENDPOINT)])[0]
+        ghz = np.zeros(8, dtype=complex)
+        ghz[0] = ghz[7] = 1 / np.sqrt(2)
+        mu = rows[:, 0]
+        amps = np.cos(mu)[:, None] * end[None, :] + np.sin(mu)[:, None] * ghz[None, :]
+    norms = np.linalg.norm(amps, axis=1)
+    if np.any(norms < 1e-12):
+        bad = rows[norms < 1e-12][0]
+        raise ValueError(f"family {family!r} parameters {tuple(bad)} give the zero vector")
+    return amps / norms[:, None]
+
+
+def _family_state(family: str, row) -> PureState:
+    return PureState(family_states(family, [row])[0], (2, 2, 2), _LABELS)
 
 
 def haar_random_amplitudes(n: int, seed, dim: int = 8) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmono
-from qmono.cli import RunConfig, SystemExit2, _axis_values, build_parser, main, parse_config_file
+from qmono.cli import SystemExit2, _axis_values, main, parse_config_file
 from qmono.qcore import DensityMatrix, save_state
 from qmono.states import ghz_state, haar_random
 
@@ -38,17 +38,6 @@ class TestHelpers:
         path = tmp_path / "conf"
         path.write_text("seed = 9\n# comment\nepsilon = 1e-3  # trailing\n")
         assert parse_config_file(str(path)) == {"seed": "9", "epsilon": "1e-3"}
-
-    def test_run_config_round_trip(self):
-        parser = build_parser()
-        ns = parser.parse_args(["sample", "-n", "10", "--seed", "4"])
-        cfg = RunConfig.from_namespace(ns)
-        text = cfg.canonical_text()
-        assert "subcommand = sample" in text
-        assert "seed = 4" in text
-        # canonical form is stable under reparse
-        ns2 = parser.parse_args(["sample", "-n", "10", "--seed", "4"])
-        assert RunConfig.from_namespace(ns2).canonical_text() == text
 
 
 class TestMeasuresCommand:

@@ -222,6 +222,20 @@ def test_crossing_kernel_calls(kernel_calls, line):
     assert len(kernel_calls) <= 4  # presample and three 5- or 6-level trees for 14 levels
 
 
+def test_stuck_brackets_end_the_bisection(kernel_calls):
+    """Below the float spacing no bracket can move once it is one spacing wide,
+    so the bisection stops there rather than at the 64-round cap."""
+    crossings = [
+        c for line in CROSSING_LINES[:2] for c in find_zero_crossings(*line, presample=100, xtol=1e-300)
+    ]
+    assert all(np.nextafter(c.bracket[0], np.inf) == c.bracket[1] for c in crossings)
+    assert len(kernel_calls) - 2 <= 18  # tree calls after the two presamples; 24 to the cap
+    kernel_calls.clear()
+    pts = surface_zero(np.linspace(0.3, np.pi / 4, 6), np.linspace(0.2, 6.0, 6), xtol=1e-300)
+    assert len(pts) == 36
+    assert len(kernel_calls) - 2 <= 49  # less the presample and delta_D at alpha*; 64 to the cap
+
+
 @pytest.mark.parametrize("cells", [1, 9, 33, 34, 128])
 def test_tree_calls_keep_to_state_budget(kernel_calls, cells):
     """A tree call holds at most _TREE_STATES states, or one level when the

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ from qmono.scan import (
     _marginals,
 )
 from qmono.states import (
+    PATH_W_ENDPOINT,
     ghz_state,
     haar_random_amplitudes,
-    path_ghz,
+    path_w_ghz,
     symmetric_ghz,
     w_class,
-    PATH_W_ENDPOINT,
 )
 
 GHZ_PARAMS = [("theta", [np.pi / 4]), ("kappa", [0.0]), ("alpha", [np.pi / 2])]
@@ -96,21 +97,67 @@ class TestBatchKernels:
         assert delta_c_batch(amps).min() >= -1e-9
 
 
+def _kron3(a, b, c):
+    return np.kron(np.kron(a, b), c)
+
+
+KET0, KET1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+GHZ = (_kron3(KET0, KET0, KET0) + _kron3(KET1, KET1, KET1)) / np.sqrt(2)
+
+
+def _two_branch(theta, kappa, a1, a2, a3):
+    """cos(theta)|000> + e^{i kappa} sin(theta)|f1 f2 f3>, |f> = cos(a)|0> + sin(a)|1>, normalized."""
+    branch = _kron3(*(np.cos(a) * KET0 + np.sin(a) * KET1 for a in (a1, a2, a3)))
+    v = np.cos(theta) * _kron3(KET0, KET0, KET0) + np.exp(1j * kappa) * np.sin(theta) * branch
+    return v / np.linalg.norm(v)
+
+
+def _w_class(t1, t2, t3, p1, p2, p3):
+    """The four-term W-class superposition on |000>, |001>, |010>, |100>."""
+    s1, s2, s3 = np.sin(t1 / 2), np.sin(t2 / 2), np.sin(t3 / 2)
+    c1, c2, c3 = np.cos(t1 / 2), np.cos(t2 / 2), np.cos(t3 / 2)
+    return (
+        c1 * _kron3(KET0, KET0, KET0)
+        + s1 * s2 * c3 * np.exp(1j * p1) * _kron3(KET0, KET0, KET1)
+        + s1 * s2 * s3 * np.exp(1j * p2) * _kron3(KET0, KET1, KET0)
+        + s1 * c2 * np.exp(1j * p3) * _kron3(KET1, KET0, KET0)
+    )
+
+
+def _path(end, mu):
+    v = np.cos(mu) * end + np.sin(mu) * GHZ
+    return v / np.linalg.norm(v)
+
+
 class TestFamilyStates:
+    """``family_states`` against the paper's amplitudes written out with np.kron."""
+
     def test_ghz_sym_matches_generator(self):
         rows = np.array([[0.5, 2.0, 0.8], [0.3, 1.0, 1.2]])
         amps = family_states("ghz-sym", rows)
-        for row, a in zip(rows, amps):
-            assert_allclose(a, symmetric_ghz(*row).amplitudes, atol=1e-14)
+        for (theta, kappa, alpha), a in zip(rows, amps):
+            assert_allclose(a, _two_branch(theta, kappa, alpha, alpha, alpha), atol=1e-14)
+        row = (0.7, 3.06, 0.55, 0.56, 0.63)
+        assert_allclose(family_states("ghz", [row])[0], _two_branch(*row), atol=1e-14)
 
     def test_w_matches_generator(self):
         row = np.array([list((3.25, 4.38, 11.02, 4.16, 3.98, 2.45))])
         amps = family_states("w", row)
-        assert_allclose(amps[0], w_class(PATH_W_ENDPOINT).amplitudes, atol=1e-14)
+        assert_allclose(amps[0], _w_class(*row[0]), atol=1e-14)
 
     def test_path_matches_generator(self):
-        amps = family_states("path-ghz", np.array([[0.3]]))
-        assert_allclose(amps[0], path_ghz(0.3).amplitudes, atol=1e-14)
+        ghz_end = _two_branch(0.7, 3.06, 0.55, 0.56, 0.63)
+        w_end = _w_class(3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
+        for mu in (0.0, 0.3, 1.2, np.pi / 2):
+            assert_allclose(family_states("path-ghz", [[mu]])[0], _path(ghz_end, mu), atol=1e-14)
+            assert_allclose(family_states("path-w-ghz", [[mu]])[0], _path(w_end, mu), atol=1e-14)
+
+    def test_constructors_match_generator(self):
+        sym = _two_branch(0.5, 2.0, 0.8, 0.8, 0.8)
+        assert_allclose(symmetric_ghz(0.5, 2.0, 0.8).amplitudes, sym, atol=1e-14)
+        w_end = _w_class(*astuple(PATH_W_ENDPOINT))
+        assert_allclose(w_class(PATH_W_ENDPOINT).amplitudes, w_end, atol=1e-14)
+        assert_allclose(path_w_ghz(0.4).amplitudes, _path(w_end, 0.4), atol=1e-14)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -124,34 +171,31 @@ class TestFamilyStates:
 
 class TestGridScan:
     def test_single_point_ghz(self):
-        records = grid_scan("ghz-sym", GHZ_PARAMS, mk_mode="closed")
-        assert len(records) == 1
-        r = records[0]
-        assert_allclose(r.delta_d, 1.0, atol=1e-6)
-        assert_allclose(r.ggm, 0.5, atol=1e-9)
-        assert_allclose(r.mk, 2.0, atol=1e-12)
-        assert not r.zero_band
+        table = grid_scan("ghz-sym", GHZ_PARAMS, mk_mode="closed")
+        assert len(table) == 1
+        assert_allclose(table.delta_d[0], 1.0, atol=1e-6)
+        assert_allclose(table.ggm[0], 0.5, atol=1e-9)
+        assert_allclose(table.mk[0], 2.0, atol=1e-12)
+        assert not table.zero_band[0]
 
     def test_theta_zero_face_all_zero_band(self):
         axes = [("theta", [0.0]), ("kappa", [0.0, 1.0]), ("alpha", [0.3, 0.9, 1.5])]
-        records = grid_scan("ghz-sym", axes)
-        assert len(records) == 6
-        for r in records:
-            assert abs(r.delta_d) <= 1e-6
-            assert r.zero_band
-            assert r.ggm <= 1e-8
+        table = grid_scan("ghz-sym", axes)
+        assert len(table) == 6
+        for delta_d, zero_band, ggm_ in zip(table.delta_d, table.zero_band, table.ggm):
+            assert abs(delta_d) <= 1e-6
+            assert zero_band
+            assert ggm_ <= 1e-8
 
     def test_ggm_rises_along_alpha_line(self):
         axes = [("theta", [np.pi / 4]), ("kappa", [0.2]), ("alpha", np.linspace(0.1, np.pi / 2, 12))]
-        records = grid_scan("ghz-sym", axes)
-        vals = [r.ggm for r in records]
+        vals = grid_scan("ghz-sym", axes).ggm.tolist()
         assert vals[-1] > vals[0]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_row_major_ordering(self):
         axes = [("theta", [0.2, 0.4]), ("kappa", [0.0, 1.0]), ("alpha", [0.5])]
-        records = grid_scan("ghz-sym", axes)
-        params = [r.params for r in records]
+        params = [tuple(p) for p in grid_scan("ghz-sym", axes).params.tolist()]
         assert params == [
             (0.2, 0.0, 0.5), (0.2, 1.0, 0.5), (0.4, 0.0, 0.5), (0.4, 1.0, 0.5),
         ]
@@ -160,16 +204,22 @@ class TestGridScan:
         axes = [("theta", [0.3]), ("kappa", [1.0]), ("alpha", np.linspace(0.2, 1.5, 5))]
         a = grid_scan("ghz-sym", axes)
         b = grid_scan("ghz-sym", axes)
-        assert a == b
+        assert a.family == b.family
+        for f in fields(a)[1:]:
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+    def test_unknown_mk_mode_rejected(self):
+        with pytest.raises(ValueError, match="'closed', 'optimize', 'skip'.*'optimise'"):
+            grid_scan("ghz-sym", GHZ_PARAMS, mk_mode="optimise")
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             grid_scan("ghz-sym", [("theta", []), ("kappa", [0.0]), ("alpha", [0.5])])
 
     def test_sym_residual_populated(self):
-        records = grid_scan("ghz-sym", GHZ_PARAMS)
+        table = grid_scan("ghz-sym", GHZ_PARAMS)
         # GHZ point: S_A = 1, S(A|B) = 0, residual +1/2
-        assert_allclose(records[0].sym_residual, 0.5, atol=1e-6)
+        assert_allclose(table.sym_residual[0], 0.5, atol=1e-6)
 
 
 class TestZeroCrossings:
@@ -262,20 +312,20 @@ class TestSampleExperiment:
 
 class TestPathTrace:
     def test_endpoints(self):
-        records = path_trace("ghz", 9, mk_mode="skip")
-        assert len(records) == 9
-        assert records[0].delta_d < 0
-        assert_allclose(records[-1].delta_d, 1.0, atol=1e-6)
-        assert_allclose(records[-1].ggm, 0.5, atol=1e-9)
+        table = path_trace("ghz", 9, mk_mode="skip")
+        assert len(table) == 9
+        assert table.delta_d[0] < 0
+        assert_allclose(table.delta_d[-1], 1.0, atol=1e-6)
+        assert_allclose(table.ggm[-1], 0.5, atol=1e-9)
 
     def test_w_path_ghz_endpoint(self):
-        records = path_trace("w-ghz", 5, mk_mode="skip")
-        assert_allclose(records[-1].ggm, 0.5, atol=1e-9)
+        table = path_trace("w-ghz", 5, mk_mode="skip")
+        assert_allclose(table.ggm[-1], 0.5, atol=1e-9)
 
     def test_with_mk_optimize(self):
-        records = path_trace("ghz", 3, mk_mode="optimize", mk_restarts=6)
-        assert all(r.mk is not None and r.mk > 0.5 for r in records)
-        assert_allclose(records[-1].mk, 2.0, atol=1e-3)
+        table = path_trace("ghz", 3, mk_mode="optimize", mk_restarts=6)
+        assert table.mk is not None and np.all(table.mk > 0.5)
+        assert_allclose(table.mk[-1], 2.0, atol=1e-3)
 
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
@@ -316,21 +366,21 @@ class TestProp4:
 
 class TestCsv:
     def test_format(self, tmp_path):
-        records = grid_scan("ghz-sym", GHZ_PARAMS, mk_mode="closed")
+        table = grid_scan("ghz-sym", GHZ_PARAMS, mk_mode="closed")
         path = tmp_path / "out.csv"
-        write_csv(records, path)
+        write_csv(table, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["family", "p1", "p2", "p3", "delta_D", "delta_C", "ggm", "mk", "zero_band"]
         assert rows[1][0] == "ghz-sym"
         assert rows[1][-1] == "false"
         # nine significant digits
-        assert rows[1][4] == f"{records[0].delta_d:.9g}"
+        assert rows[1][4] == f"{table.delta_d[0]:.9g}"
 
     def test_skipped_mk_empty_field(self, tmp_path):
-        records = path_trace("ghz", 3, mk_mode="skip")
+        table = path_trace("ghz", 3, mk_mode="skip")
         path = tmp_path / "path.csv"
-        write_csv(records, path)
+        write_csv(table, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert all(row[5] == "" for row in rows[1:])
