@@ -22,8 +22,8 @@ from .measures import (
     concurrence,
     conditional_entropy_min,
     discord,
-    eof_pure,
     eof_two_qubit,
+    ggm,
     mutual_information,
 )
 from .monogamy import (
@@ -31,14 +31,7 @@ from .monogamy import (
     cond_entropy_bounds,
     delta_c,
     delta_d,
-    discord_eof_pure_identity,
-    interaction_information,
-    kw_residual,
-    prop1_check,
-    prop2_residual,
-    symmetric_condition_residual,
 )
-from .multient import ggm
 from .bell import (
     MKSettings,
     mk_expectation,
@@ -63,7 +56,7 @@ from .scan import (
     Prop4Result,
     SampleSummary,
     ScanTable,
-    SurfacePoint,
+    SurfaceTable,
     ZeroCrossing,
     find_zero_crossings,
     grid_scan,

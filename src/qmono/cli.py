@@ -73,15 +73,20 @@ def _float_fmt(x) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
-def _cmd_measures(ns) -> int:
-    state = load_state(ns.state)
-    report = delta_d(state, ns.nodal, seed=ns.seed, restarts=ns.restarts)
-    text = report.to_json()
-    if ns.output:
-        with open(ns.output, "w") as fh:
+def _write_or_print(text: str, path) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _cmd_measures(ns) -> int:
+    state = load_state(ns.state)
+    if ns.nodal not in state.labels:
+        raise SystemExit2(f"--nodal {ns.nodal!r} is not a party of the state {list(state.labels)}")
+    report = delta_d(state, ns.nodal, seed=ns.seed, restarts=ns.restarts)
+    _write_or_print(report.to_json(), ns.output)
     return 0
 
 
@@ -108,25 +113,9 @@ def _cmd_scan(ns) -> int:
 
 
 def _cmd_surface(ns) -> int:
-    points = surface_zero(
-        _axis_values(ns.theta), _axis_values(ns.kappa), xtol=ns.xtol
-    )
-    import csv as _csv
-
-    with open(ns.output, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(
-            ["theta", "kappa", "alpha_star", "delta_D", "ggm",
-             "closed_form_residual", "in_domain"]
-        )
-        for p in points:
-            w.writerow(
-                [_float_fmt(p.theta), _float_fmt(p.kappa), _float_fmt(p.alpha_star),
-                 _float_fmt(p.delta_d), _float_fmt(p.ggm),
-                 _float_fmt(p.closed_form_residual),
-                 "true" if p.in_closed_form_domain else "false"]
-            )
-    print(f"wrote {len(points)} surface points to {ns.output}")
+    table = surface_zero(_axis_values(ns.theta), _axis_values(ns.kappa), xtol=ns.xtol)
+    write_csv(table, ns.output)
+    print(f"wrote {len(table)} surface points to {ns.output}")
     return 0
 
 
@@ -168,12 +157,7 @@ def _cmd_bell(ns) -> int:
         "settings_a": [list(map(float, v)) for v in settings.a],
         "settings_a_prime": [list(map(float, v)) for v in settings.a_prime],
     }
-    text = json.dumps(data, indent=1)
-    if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_or_print(json.dumps(data, indent=1), ns.output)
     return 0
 
 

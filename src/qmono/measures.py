@@ -6,14 +6,19 @@ Quantum discord is computed from the measured conditional entropy
     S(A|B) = min over rank-1 projective measurements {Pi_i} on B
              of sum_i p_i S(rho_{A|i}),
 
-minimized for a qubit measured side over its Bloch direction by one
+which for a pure three-qubit state is exact by Koashi-Winter: S(A|B) =
+E_f(AC).  ``pure_scores_batch`` takes it that way, with the concurrences,
+the three-tangle and S_A, from one pass over (K, 8) amplitudes whose first
+qubit is the nodal one (``nodal_first`` puts it there); ``ggm_batch`` is
+the generalized geometric measure of such a batch.  Other inputs are
+minimized: a qubit measured side over its Bloch direction by one
 deterministic grid-and-zoom search (whole batches at once; the scalar API is
-a batch of one); for a measured pair, a kept qubit and rank <= 2, by the exact
-Koashi-Winter value E_f(rho_AE), E purifying rho; for other measured sides of
-dimension 3 or 4, by a seeded multistart gradient search over U(d) that the
-saddle-free Newton polish ``minimize`` ends (it ends the MK search in ``bell``
-too).  Searches give upper bounds; the trace names the kernel, restarts and
-best-vs-runner-up gap.
+a batch of one, and the tests use it as the closed form's oracle); a measured
+pair, a kept qubit and rank <= 2 by the exact Koashi-Winter value E_f(rho_AE),
+E purifying rho; other measured sides of dimension 3 or 4 by a seeded
+multistart gradient search over U(d) that the saddle-free Newton polish
+``minimize`` ends (it ends the MK search in ``bell`` too).  Searches give
+upper bounds; the trace names the kernel, restarts and best-vs-runner-up gap.
 """
 
 from __future__ import annotations
@@ -254,12 +259,6 @@ def eof_batch(c) -> np.ndarray:
     return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
-def eof_pure(psi: PureState, cut: Bipartition) -> float:
-    """Entanglement of formation of a pure state across a cut, in bits."""
-    cut.check_covers(psi.labels)
-    return vn_entropy(psi.marginal(cut.side_one))
-
-
 def eof_two_qubit(rho: DensityMatrix) -> float:
     """Entanglement of formation of a 2-qubit state: a batch of one of ``eof_batch``."""
     return float(eof_batch(concurrence(rho)))
@@ -271,6 +270,73 @@ def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
     s1 = vn_entropy(partial_trace(rho, cut.side_one))
     s2 = vn_entropy(partial_trace(rho, cut.side_two))
     return s1 + s2 - vn_entropy(rho)
+
+
+# --- pure three-qubit batches ---------------------------------------------------
+#
+# (K, 8) amplitudes in the basis order |abc> -> 4a + 2b + c.  The scores take
+# the first qubit as the nodal one; ``nodal_first`` moves any qubit there.
+
+
+def nodal_first(amps, site: int) -> np.ndarray:
+    """(K, 8) amplitudes with qubit ``site`` (0, 1 or 2) first and the other two in order."""
+    p = np.asarray(amps, dtype=complex).reshape(-1, 2, 2, 2)
+    return np.moveaxis(p, site + 1, 1).reshape(-1, 8)
+
+
+def _single_site(amps: np.ndarray, site: int) -> np.ndarray:
+    p = amps.reshape(-1, 2, 2, 2)
+    subs = ("kabc,kdbc->kad", "kabc,kadc->kbd", "kabc,kabd->kcd")
+    return np.einsum(subs[site], p, p.conj())
+
+
+def _concurrence_sq(v: np.ndarray) -> np.ndarray:
+    """C^2 of rho = V V^dagger for a (K, 4, 2) stack V: the rank-2 Wootters form.
+
+    tau = V^T (sy (x) sy) V is complex symmetric and its singular values are
+    the l_i of Wootters' formula, so C^2 = ||tau||_F^2 - 2 |det tau|.
+    """
+    tau = np.swapaxes(v, 1, 2) @ (_YY @ v)
+    det = tau[:, 0, 0] * tau[:, 1, 1] - tau[:, 0, 1] * tau[:, 1, 0]
+    return np.maximum(np.sum(np.abs(tau) ** 2, axis=(1, 2)) - 2.0 * np.abs(det), 0.0)
+
+
+def pure_scores_batch(amps: np.ndarray):
+    """(delta_D, delta_C, S_A, S(A|B), S(A|C), C_AB^2, C_AC^2) for a (K, 8) batch, nodal A.
+
+    Exact: S(A|B) = E_f(C_AC) and S(A|C) = E_f(C_AB) (Koashi-Winter), and
+    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, all from one pass over the
+    amplitudes.
+    """
+    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
+    p = amps.reshape(-1, 2, 2, 2)
+    c2_ab = _concurrence_sq(p.reshape(-1, 4, 2))  # columns: qubit C fixed to 0, 1
+    c2_ac = _concurrence_sq(np.swapaxes(p, 2, 3).reshape(-1, 4, 2))  # qubit B fixed
+    ra = _single_site(amps, 0)
+    s_a = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])
+    tangle = 4.0 * np.clip((ra[:, 0, 0] * ra[:, 1, 1]).real - np.abs(ra[:, 0, 1]) ** 2, 0.0, None)
+    cond_ab = eof_batch(np.sqrt(c2_ac))
+    cond_ac = eof_batch(np.sqrt(c2_ab))
+    return s_a - cond_ab - cond_ac, tangle - c2_ab - c2_ac, s_a, cond_ab, cond_ac, c2_ab, c2_ac
+
+
+def ggm_batch(amps: np.ndarray) -> np.ndarray:
+    """Generalized geometric measure of a (K, 8) batch: 1 - the largest eigenvalue
+    of the three single-qubit marginals, the three bipartitions of three qubits."""
+    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
+    lam = None
+    for site in range(3):
+        r = _single_site(amps, site)
+        top = _eig2(r[:, 0, 0], r[:, 0, 1], r[:, 1, 1])[0]
+        lam = top if lam is None else np.maximum(lam, top)
+    return 1.0 - lam
+
+
+def ggm(psi: PureState) -> float:
+    """GGM of one pure three-qubit state: a batch of one of ``ggm_batch``."""
+    if not isinstance(psi, PureState) or psi.dims != (2, 2, 2):
+        raise ValueError("ggm requires a pure three-qubit state")
+    return float(ggm_batch(psi.amplitudes)[0])
 
 
 # --- measured conditional entropy: one Bloch-direction minimizer -------------

@@ -60,10 +60,6 @@ class PureState:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def density(self) -> "DensityMatrix":
         m = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(m, self.dims, self.labels)
@@ -103,10 +99,6 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
@@ -142,12 +134,6 @@ class Bipartition:
             raise ValueError(
                 f"bipartition {self.side_one}|{self.side_two} does not cover {tuple(labels)}"
             )
-
-    @classmethod
-    def of(cls, labels, side_one) -> "Bipartition":
-        one = tuple(side_one)
-        two = tuple(l for l in labels if l not in one)
-        return cls(one, two)
 
 
 def tensor(a, b):
@@ -213,7 +199,7 @@ def permute_parties(rho: DensityMatrix, new_order) -> DensityMatrix:
     n = len(rho.dims)
     t = rho.matrix.reshape(tuple(rho.dims) * 2)
     t = np.transpose(t, order + [i + n for i in order])
-    d = rho.dim
+    d = rho.matrix.shape[0]
     return DensityMatrix(
         t.reshape(d, d),
         tuple(rho.dims[i] for i in order),
@@ -229,25 +215,20 @@ def clamped_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def entropy_of_spectrum(w: np.ndarray) -> float:
-    w = np.asarray(w, dtype=float)
+def vn_entropy(rho) -> float:
+    """Von Neumann entropy in bits, with 0*log(0) := 0."""
+    w = clamped_eigvalsh(rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho))
     w = w[w > _EIG_ZERO]
     return float(-np.sum(w * np.log2(w)))
 
 
-def vn_entropy(rho) -> float:
-    """Von Neumann entropy in bits, with 0*log(0) := 0."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return entropy_of_spectrum(clamped_eigvalsh(m))
-
-
-def binary_entropy(p: float) -> float:
-    """Shannon entropy of a {p, 1-p} distribution, in bits."""
+def binary_entropy(p):
+    """Shannon entropy of a {p, 1-p} distribution, in bits; elementwise over an array."""
+    p = np.asarray(p, dtype=float)
     out = 0.0
     for x in (p, 1.0 - p):
-        if x > _EIG_ZERO:
-            out -= x * np.log2(x)
-    return out
+        out = out - x * np.log2(np.where(x > _EIG_ZERO, x, 1.0))  # 0 log 0 := 0; NaN stays NaN
+    return float(out) if out.ndim == 0 else out
 
 
 def schmidt_sq_max(psi: PureState, cut: Bipartition) -> float:

@@ -2,30 +2,35 @@
 
 Everything here works on batches of three-qubit pure states with nodal
 observer A, built by ``states.family_states`` or drawn Haar-random.  The
-per-state scores are exact closed forms: by the Koashi-Winter identity the
-minimum measured S(A|B) of a pure state equals E_f(AC), so
-delta_D = S_A - E_f(AB) - E_f(AC), with both concurrences taken from the
-rank-2 marginals' amplitudes.  ``grid_scan`` (and ``path_trace``, a one-axis
-grid) and ``sample_experiment`` score their states in one chunked pass into
-the columns of a ``ScanTable``, which ``write_csv`` formats.  All randomness
-is seed-in, state-out; grid orderings are row-major over the axes as given,
-and outputs are bit-identical across runs with the same inputs.
+per-state scores are the exact closed forms of ``measures.pure_scores_batch``
+and ``measures.ggm_batch``, called through this module's names: by the
+Koashi-Winter identity the minimum measured S(A|B) of a pure state equals
+E_f(AC), so delta_D = S_A - E_f(AB) - E_f(AC), with both concurrences taken
+from the rank-2 marginals' amplitudes.  The grid-and-zoom search
+(``measures.conditional_entropy_qubit_batch`` on ``_marginals``) minimizes
+S(A|B) over measurements instead; it is the tests' oracle and computes no
+output here.  ``grid_scan`` (and ``path_trace``, a one-axis grid) and
+``sample_experiment`` score their states in one chunked pass into the
+columns of a ``ScanTable``, and ``surface_zero`` returns a ``SurfaceTable``;
+``write_csv`` formats both.  All randomness is seed-in, state-out; grid
+orderings are row-major over the axes as given, and outputs are
+bit-identical across runs with the same inputs.
 """
 
 from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bell import mk_optimize, mk_symmetric_closed_form
-from .measures import _YY, _eig2, _eig2_entropy, eof_batch, eof_two_qubit
+from .measures import _eig2_entropy, _single_site
+from .measures import ggm_batch, pure_scores_batch  # called by these names, which bench/spans.py wraps
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
-from .monogamy import ZERO_BAND_DEFAULT
-from .multient import ggm
-from .qcore import PureState, binary_entropy, partial_trace, vn_entropy
+from .monogamy import ZERO_BAND_DEFAULT, pure_qubit_batch
+from .qcore import PureState, binary_entropy
 from .states import FAMILY_PARAMS, family_states, haar_random_amplitudes  # the last two timed by bench/spans.py
 from .states import symmetric_concurrence_closed_form
 
@@ -72,15 +77,23 @@ class ZeroCrossing:
         return self.bracket[1] - self.bracket[0]
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    theta: float
-    kappa: float
-    alpha_star: float
-    delta_d: float
-    ggm: float
-    closed_form_residual: float | None
-    in_closed_form_domain: bool
+@dataclass(frozen=True, eq=False)
+class SurfaceTable:
+    """Columns of a delta_D = 0 surface, one row per cell with an interior zero.
+
+    ``closed_form_residual`` is NaN where ``in_domain`` is False.
+    """
+
+    theta: np.ndarray
+    kappa: np.ndarray
+    alpha_star: np.ndarray
+    delta_d: np.ndarray
+    ggm: np.ndarray
+    closed_form_residual: np.ndarray
+    in_domain: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.theta)
 
 
 @dataclass(frozen=True)
@@ -93,6 +106,14 @@ class SampleSummary:
     max_ggm_overall: float
     delta_hist: tuple[tuple[float, ...], tuple[int, ...]]
     band_ggm_hist: tuple[tuple[float, ...], tuple[int, ...]]
+
+
+# Prop 4's lhs >= rhs - PROP4_TOL.  A state placed on delta_D = 0 to a finite tolerance
+# misses the equality by about its |delta_D|: lhs - rhs was at least -1.99e-7 over the
+# symmetric surface points of ``surface_zero`` at the default xtol = 1e-6 (15 x 15 and
+# 40 x 40 grids, |delta_D| <= 1.99e-7 there) and -9.99e-9 over 10^4 nonsymmetric states
+# bisected to |delta_D| <= 1e-8, so 1e-6 keeps a factor 5 over the surface points.
+PROP4_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -118,56 +139,9 @@ def _marginals(amps: np.ndarray):
     return rho_ab, rho_ac
 
 
-def _single_site(amps: np.ndarray, site: int) -> np.ndarray:
-    p = amps.reshape(-1, 2, 2, 2)
-    subs = ("kabc,kdbc->kad", "kabc,kadc->kbd", "kabc,kabd->kcd")
-    return np.einsum(subs[site], p, p.conj())
-
-
-def _concurrence_sq(v: np.ndarray) -> np.ndarray:
-    """C^2 of rho = V V^dagger for a (K, 4, 2) stack V: the rank-2 Wootters form.
-
-    tau = V^T (sy (x) sy) V is complex symmetric and its singular values are
-    the l_i of Wootters' formula, so C^2 = ||tau||_F^2 - 2 |det tau|.
-    """
-    tau = np.swapaxes(v, 1, 2) @ (_YY @ v)
-    det = tau[:, 0, 0] * tau[:, 1, 1] - tau[:, 0, 1] * tau[:, 1, 0]
-    return np.maximum(np.sum(np.abs(tau) ** 2, axis=(1, 2)) - 2.0 * np.abs(det), 0.0)
-
-
-def pure_scores_batch(amps: np.ndarray):
-    """(delta_D, delta_C, S_A, S(A|B), S(A|C)) for a (K, 8) batch, nodal A.
-
-    Exact: S(A|B) = E_f(C_AC) and S(A|C) = E_f(C_AB) (Koashi-Winter), and
-    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, all from one pass over the
-    amplitudes.  ``measures.conditional_entropy_qubit_batch`` minimizes
-    S(A|B) over measurements instead and serves as the tests' oracle.
-    """
-    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    p = amps.reshape(-1, 2, 2, 2)
-    c2_ab = _concurrence_sq(p.reshape(-1, 4, 2))  # columns: qubit C fixed to 0, 1
-    c2_ac = _concurrence_sq(np.swapaxes(p, 2, 3).reshape(-1, 4, 2))  # qubit B fixed
-    ra = _single_site(amps, 0)
-    s_a = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])
-    tangle = 4.0 * np.clip((ra[:, 0, 0] * ra[:, 1, 1]).real - np.abs(ra[:, 0, 1]) ** 2, 0.0, None)
-    cond_ab = eof_batch(np.sqrt(c2_ac))
-    cond_ac = eof_batch(np.sqrt(c2_ab))
-    return s_a - cond_ab - cond_ac, tangle - c2_ab - c2_ac, s_a, cond_ab, cond_ac
-
-
 def delta_d_batch(amps: np.ndarray) -> np.ndarray:
     """Pure-state discord monogamy score, nodal A, vectorized."""
     return pure_scores_batch(amps)[0]
-
-
-def ggm_batch(amps: np.ndarray) -> np.ndarray:
-    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    lam = None
-    for site in range(3):
-        r = _single_site(amps, site)
-        top = _eig2(r[:, 0, 0], r[:, 0, 1], r[:, 1, 1])[0]
-        lam = top if lam is None else np.maximum(lam, top)
-    return 1.0 - lam
 
 
 def delta_c_batch(amps: np.ndarray) -> np.ndarray:
@@ -184,7 +158,7 @@ def _score(family: str, params: np.ndarray, amps: np.ndarray, epsilon: float) ->
     dd, dc, gg, sym = (np.empty(n) for _ in range(4))
     for i in range(0, n, _CHUNK):
         sl = slice(i, i + _CHUNK)
-        dd[sl], dc[sl], s_a, cond_ab, _ = pure_scores_batch(amps[sl])
+        dd[sl], dc[sl], s_a, cond_ab = pure_scores_batch(amps[sl])[:4]
         sym[sl] = 0.5 * s_a - cond_ab
         gg[sl] = ggm_batch(amps[sl])
     sym = sym if family == "ghz-sym" else None
@@ -394,8 +368,8 @@ def surface_zero(
     presample: int = 64,
     xtol: float = 1e-6,
     noise_floor: float = NOISE_FLOOR_DEFAULT,
-) -> list[SurfacePoint]:
-    """Interior delta_D = 0 point along alpha for each (theta, kappa).
+) -> SurfaceTable:
+    """Interior delta_D = 0 point along alpha for each (theta, kappa), as table rows.
 
     One kernel call evaluates every cell at linspace(alpha_lo, alpha_hi,
     presample).  Each cell's first sign change whose ends clear ``noise_floor``
@@ -415,7 +389,7 @@ def surface_zero(
     sign_change = _sign_changes(vals, noise_floor)
     sel = np.nonzero(sign_change.any(axis=1))[0]
     if sel.size == 0:
-        return []
+        return SurfaceTable(*[np.empty(0)] * 6, np.empty(0, dtype=bool))
     first = np.argmax(sign_change[sel], axis=1)
     base = cells[sel]
     b_lo, b_hi, _, _ = _lockstep_bisect(
@@ -425,31 +399,13 @@ def surface_zero(
     astar = (b_lo + b_hi) / 2
     tt_s, kk_s = base[:, 0], base[:, 1]
     amps = family_states("ghz-sym", np.stack([tt_s, kk_s, astar], axis=1))
-    dd = delta_d_batch(amps)
-    gg = ggm_batch(amps)
     ra = _single_site(amps, 0)
     e1 = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])  # = H(e_1)
-
     conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)  # NaN out of domain
-    out: list[SurfacePoint] = []
-    for i in range(sel.size):
-        in_domain = not np.isnan(conc[i])
-        residual = None
-        if in_domain:
-            h = (1.0 + np.sqrt(max(0.0, 1.0 - conc[i] * conc[i]))) / 2.0
-            residual = float(abs(2.0 * binary_entropy(h) - e1[i]))
-        out.append(
-            SurfacePoint(
-                theta=float(tt_s[i]),
-                kappa=float(kk_s[i]),
-                alpha_star=float(astar[i]),
-                delta_d=float(dd[i]),
-                ggm=float(gg[i]),
-                closed_form_residual=residual,
-                in_closed_form_domain=bool(in_domain),
-            )
-        )
-    return out
+    h = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - conc * conc))) / 2.0
+    residual = np.abs(2.0 * binary_entropy(h) - e1)
+    dd, gg = delta_d_batch(amps), ggm_batch(amps)
+    return SurfaceTable(tt_s, kk_s, astar, dd, gg, residual, ~np.isnan(conc))
 
 
 def sample_experiment(
@@ -517,45 +473,45 @@ def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAUL
 
     Scoped to vanishing-score states: ``precondition_met`` records whether
     |delta_D| < band; outside the band the inequality is reported but carries
-    no claim.  For a pure state Koashi-Winter gives delta_D = S_nodal - lhs.
+    no claim.  A batch of one of the pure three-qubit kernels: by Koashi-Winter
+    lhs = S(A|C) + S(A|B) and delta_D = S_nodal - lhs.
     """
-    others = tuple(l for l in psi.labels if l != nodal)
-    rho = psi.density()
-    lhs = eof_two_qubit(partial_trace(rho, (nodal, others[0]))) + eof_two_qubit(
-        partial_trace(rho, (nodal, others[1]))
-    )
-    rhs = binary_entropy(ggm(psi))
-    dd = vn_entropy(partial_trace(rho, (nodal,))) - lhs
-    return Prop4Result(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        satisfied=bool(lhs >= rhs - 1e-6),
-        equality_residual=float(abs(lhs - rhs)),
-        delta_d=float(dd),
-        precondition_met=bool(abs(dd) < band),
-    )
+    amps = pure_qubit_batch(psi, nodal)
+    dd, _, _, cond_ab, cond_ac = (float(x[0]) for x in pure_scores_batch(amps)[:5])
+    lhs, rhs = cond_ab + cond_ac, binary_entropy(float(ggm_batch(amps)[0]))
+    return Prop4Result(lhs, rhs, lhs >= rhs - PROP4_TOL, abs(lhs - rhs), dd, abs(dd) < band)
 
 
 # --- CSV ------------------------------------------------------------------------
 
 
-def write_csv(table: ScanTable, path) -> None:
-    """Rows ``family,p1..pk,delta_D,delta_C,ggm,mk,zero_band`` with 9-digit floats."""
+def write_csv(table, path) -> None:
+    """One row per table row: floats with 9 significant digits, NaN and a skipped column empty.
+
+    A ScanTable, which must have rows, gives ``family,p1..pk,delta_D,delta_C,ggm,mk,zero_band``;
+    a SurfaceTable ``theta,kappa,alpha_star,delta_D,ggm,closed_form_residual,in_domain``.
+    """
     n = len(table)
-    if not n:
-        raise ValueError("no records to write")
 
     def fmt(col):  # Python floats format faster than numpy scalars
-        return [""] * n if col is None else [f"{v:.9g}" for v in col.tolist()]
+        if col is None:
+            return [""] * n
+        if col.dtype == bool:
+            return ["true" if b else "false" for b in col.tolist()]
+        text = [f"{v:.9g}" for v in col.tolist()]
+        return [t if t != "nan" else "" for t in text] if np.isnan(col).any() else text
 
-    columns = [
-        [table.family] * n,
-        *(fmt(p) for p in table.params.T),
-        fmt(table.delta_d), fmt(table.delta_c), fmt(table.ggm), fmt(table.mk),
-        ["true" if b else "false" for b in table.zero_band.tolist()],
-    ]
-    header = ["family", *(f"p{i + 1}" for i in range(table.params.shape[1]))]
+    if isinstance(table, SurfaceTable):
+        header = ["theta", "kappa", "alpha_star", "delta_D", "ggm", "closed_form_residual", "in_domain"]
+        columns = [fmt(getattr(table, f.name)) for f in fields(table)]
+    elif n:
+        header = ["family", *(f"p{i + 1}" for i in range(table.params.shape[1]))]
+        header += ["delta_D", "delta_C", "ggm", "mk", "zero_band"]
+        columns = [[table.family] * n, *map(fmt, table.params.T)]
+        columns += map(fmt, (table.delta_d, table.delta_c, table.ggm, table.mk, table.zero_band))
+    else:
+        raise ValueError("no records to write")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header + ["delta_D", "delta_C", "ggm", "mk", "zero_band"])
+        w.writerow(header)
         w.writerows(zip(*columns))

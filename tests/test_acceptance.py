@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from qmono.bell import mk_optimize
-from qmono.measures import concurrence_batch, conditional_entropy_qubit_batch, eof_batch
-from qmono.monogamy import delta_c, delta_d, kw_residual
-from qmono.multient import ggm
+from qmono.measures import concurrence_batch, conditional_entropy_qubit_batch, eof_batch, ggm
+from qmono.monogamy import delta_c, delta_d
 from qmono.qcore import DensityMatrix, PureState, partial_trace, vn_entropy, binary_entropy
 from qmono.scan import (
     delta_c_batch,
@@ -37,6 +36,8 @@ from qmono.states import (
     w_state,
 )
 
+from oracles import kw_residual, prop2_residual
+
 SEED = 20260810
 
 
@@ -53,7 +54,8 @@ def sample500():
     states = [PureState(a, (2, 2, 2)) for a in amps]
     reports = [delta_d(s, "A") for s in states]
     kw = np.array([kw_residual(s, "A") for s in states])
-    return {"states": states, "reports": reports, "kw": kw}
+    prop2 = np.array([prop2_residual(s, "A") for s in states])
+    return {"states": states, "reports": reports, "kw": kw, "prop2": prop2}
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +174,8 @@ def test_criterion_03_koashi_winter(sample500):
 
 
 def test_criterion_04_prop2_identity(sample500):
-    devs = [abs(r.delta_D - r.prop2_residual) for r in sample500["reports"]]
+    # the reports' closed form against the measurement search behind the prop2 oracle
+    devs = [abs(r.delta_D - p) for r, p in zip(sample500["reports"], sample500["prop2"])]
     worst = max(devs)
     ok = worst < 1e-5
     _report(4, ok, f"max |delta_D - (S_A - S(A|B) - S(A|C))| = {worst:.2e} over 500 states")
@@ -185,7 +188,7 @@ def test_criterion_05_prop1_on_band(sample500, surface_points, band_states_10k):
         if abs(r.delta_D) < 1e-4:
             slacks.append(r.prop1_slack)
     # scanned zero states: for pure states the slack is exactly -delta_D
-    slacks += [-p.delta_d for p in surface_points]
+    slacks += list(-surface_points.delta_d)
     slacks += list(-band_states_10k["delta_d"])
     worst = float(np.min(slacks))
     ok = worst >= -1e-5
@@ -221,7 +224,7 @@ def test_criterion_06_fig2_line():
 
 def test_criterion_07_fig4_max_ggm():
     pts = surface_zero([np.pi / 4], np.linspace(0.0, 2 * np.pi, 128))
-    top = max(p.ggm for p in pts)
+    top = float(pts.ggm.max())
     ok = abs(top - 0.33) <= 0.02
     _report(7, ok, f"max GGM on the zero surface at theta=pi/4: {top:.4f} (target 0.33 +- 0.02)")
     assert ok
@@ -296,13 +299,12 @@ def test_criterion_11_fig5_violation_submerged():
 
 def test_criterion_12_prop4(surface_points, band_states_10k):
     # equality clause on the symmetric zero surface
-    pts = surface_points[:200]
-    n_pts = len(pts)
-    sat = res_worst = 0
+    pts = [c[:200] for c in (surface_points.theta, surface_points.kappa, surface_points.alpha_star)]
+    n_pts = len(pts[0])
     residuals = []
     satisfied = []
-    for p in pts:
-        psi = symmetric_ghz(p.theta, p.kappa, p.alpha_star)
+    for theta, kappa, alpha in zip(*pts):
+        psi = symmetric_ghz(theta, kappa, alpha)
         r = prop4_check(psi, "A")
         satisfied.append(r.satisfied)
         residuals.append(r.equality_residual)

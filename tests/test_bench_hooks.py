@@ -6,7 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from qmono.scan import grid_scan, path_trace
+from qmono import scan
+from qmono.scan import grid_scan, path_trace, sample_experiment
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -38,3 +39,14 @@ def test_row_counted_results_are_not_tuples():
         assert not isinstance(out, tuple)
         assert len(out) == rows
         assert spans._len0((), out) == rows
+
+
+def test_kernel_calls_go_through_the_wrapped_name(monkeypatch):
+    """bench/spans.py times the kernel as ``scan.pure_scores_batch``, so every kernel
+    call of ``grid_scan`` and ``sample_experiment`` must look that name up."""
+    calls, real = [], scan.pure_scores_batch
+    monkeypatch.setattr(scan, "pure_scores_batch", lambda amps: calls.append(len(amps)) or real(amps))
+    grid_scan("ghz-sym", [("theta", [0.2, 0.4]), ("kappa", [0.0, 1.0, 2.0]), ("alpha", [0.5])])
+    assert calls == [6]
+    sample_experiment(scan._CHUNK + 10, seed=1)
+    assert calls == [6, scan._CHUNK, 10]

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 import qmono
 from qmono.cli import SystemExit2, _axis_values, main, parse_config_file
 from qmono.qcore import DensityMatrix, save_state
-from qmono.states import ghz_state, haar_random
+from qmono.states import ghz_state, haar_random, symmetric_ghz
 
 
 @pytest.fixture
@@ -70,6 +70,24 @@ class TestMeasuresCommand:
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["measures"]) == 2
+
+    def test_unknown_nodal_usage_error(self, ghz_file, capsys):
+        assert main(["measures", "--state", ghz_file, "--nodal", "Z"]) == 2
+        assert "--nodal 'Z' is not a party of the state ['A', 'B', 'C']" in capsys.readouterr().err
+
+    def test_pure_report_matches_scan_row(self, tmp_path, capsys):
+        """A pure three-qubit report and the scan row of the same state print the same digits."""
+        point = {"theta": 0.6, "kappa": 2.2, "alpha": 0.9}
+        state, out = tmp_path / "sym.json", tmp_path / "scan.csv"
+        save_state(symmetric_ghz(*point.values()), state)
+        assert main(["measures", "--state", str(state)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        axes = [a for name, v in point.items() for a in ("--axis", f"{name}={v!r}")]
+        assert main(["scan", "--family", "ghz-sym", *axes, "-o", str(out)]) == 0
+        with open(out, newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert f"{report['delta_D']:.9g}" == row["delta_D"]
+        assert f"{report['delta_C']:.9g}" == row["delta_C"]
 
     def test_qutrit_nodal_pure_state(self, tmp_path, capsys):
         # the two-party discords keep a qutrit and measure a qubit

@@ -15,7 +15,6 @@ from qmono.measures import (
     conditional_entropy_min,
     conditional_entropy_qubit_batch,
     discord,
-    eof_pure,
     minimize,
     eof_two_qubit,
     mutual_information,
@@ -24,6 +23,8 @@ from qmono.measures import (
 )
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
 from qmono.states import haar_random
+
+from oracles import eof_pure
 
 AB = Bipartition(("A",), ("B",))
 BC_MEASURED = Bipartition(("A",), ("B", "C"))

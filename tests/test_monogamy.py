@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmono.measures import discord
-from qmono.monogamy import (
-    MonogamyReport,
-    cond_entropy_bounds,
-    delta_c,
-    delta_d,
+from qmono.measures import conditional_entropy_min, discord
+from qmono.monogamy import MonogamyReport, cond_entropy_bounds, delta_c, delta_d
+from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor
+from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
+
+from oracles import (
     discord_eof_pure_identity,
     interaction_information,
     kw_residual,
@@ -17,8 +17,6 @@ from qmono.monogamy import (
     prop2_residual,
     symmetric_condition_residual,
 )
-from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor
-from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
 
 
 def product_000():
@@ -69,6 +67,19 @@ class TestDeltaD:
             total = rep.S_cond_AB + rep.S_cond_AC
             assert lo <= total <= hi + 1e-6
 
+    def test_closed_form_against_search_every_nodal(self):
+        # the grid-and-zoom search on each pair bounds S(A|X) from above
+        for psi in haar_states(20, 71):
+            rho = psi.density()
+            for nodal in "ABC":
+                rep = delta_d(psi, nodal)
+                others = [x for x in "ABC" if x != nodal]
+                for other, got in zip(others, (rep.S_cond_AB, rep.S_cond_AC)):
+                    pair = partial_trace(rho, (nodal, other))
+                    search = conditional_entropy_min(pair, Bipartition((nodal,), (other,)))[0]
+                    assert got <= search + 1e-12
+                    assert abs(got - search) <= 1e-7
+
     def test_mixed_input_heuristic(self):
         rng = np.random.default_rng(40)
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -89,8 +100,7 @@ class TestDeltaD:
         assert data["nodal"] == "A"
         assert_allclose(data["delta_D"], 1.0, atol=1e-6)
         assert data["D_A_BC_kernel"] == "pure" and data["D_A_BC_gap"] is None
-        row = rep.to_csv_row()
-        assert len(row.split(",")) == len(MonogamyReport.CSV_COLUMNS) == 20
+        assert len(MonogamyReport.CSV_COLUMNS) == 20
         assert list(data) == list(MonogamyReport.CSV_COLUMNS)
 
 
@@ -132,8 +142,8 @@ class TestPropositions:
         # a state on the vanishing-score surface satisfies the condition
         from qmono.scan import surface_zero
 
-        pt = surface_zero([0.4], [1.0])[0]
-        psi = symmetric_ghz(pt.theta, pt.kappa, pt.alpha_star)
+        pt = surface_zero([0.4], [1.0])
+        psi = symmetric_ghz(pt.theta[0], pt.kappa[0], pt.alpha_star[0])
         ok, slack = prop1_check(psi, "A")
         assert ok
         assert slack >= -1e-6

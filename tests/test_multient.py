@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmono.multient import bipartitions, ggm
+from qmono.measures import ggm
 from qmono.qcore import PureState
 
 
@@ -38,11 +38,6 @@ def test_w_one_third():
     assert_allclose(ggm(w_state()), 1 / 3, atol=1e-9)
 
 
-def test_bipartition_count():
-    assert len(bipartitions(("A", "B", "C"))) == 3
-    assert len(bipartitions(("A", "B", "C", "D"))) == 7
-
-
 def test_local_unitary_invariance():
     rng = np.random.default_rng(6)
     for _ in range(30):
@@ -75,9 +70,3 @@ def test_upper_bound_three_qubits():
         z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert ggm(PureState(z, (2, 2, 2))) <= 0.5 + 1e-12
 
-
-def test_four_party_supported():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    val = ggm(PureState(z, (2, 2, 2, 2)))
-    assert 0.0 <= val <= 0.5 + 1e-12

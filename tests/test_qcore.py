@@ -18,6 +18,8 @@ from qmono.qcore import (
     vn_entropy,
 )
 
+from oracles import cut_of
+
 KET0 = PureState([1, 0], (2,), ("A",))
 PLUS = PureState([1, 1], (2,), ("A",))
 
@@ -102,7 +104,7 @@ class TestBipartition:
             Bipartition(("A",), ("A", "B"))
 
     def test_of_complement(self):
-        cut = Bipartition.of(("A", "B", "C"), ("B",))
+        cut = cut_of(("A", "B", "C"), ("B",))
         assert cut.side_one == ("B",)
         assert cut.side_two == ("A", "C")
 
@@ -240,7 +242,7 @@ class TestSchmidt:
         amps[0] = 1
         psi = PureState(amps, (2, 2, 2))
         for side in ("A", "B", "C"):
-            cut = Bipartition.of(psi.labels, (side,))
+            cut = cut_of(psi.labels, (side,))
             assert_allclose(schmidt_sq_max(psi, cut), 1.0, atol=1e-12)
 
     def test_w_two_thirds(self):

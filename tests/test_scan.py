@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qmono.monogamy import delta_c, delta_d
-from qmono.multient import ggm
-from qmono.measures import concurrence, concurrence_batch, conditional_entropy_qubit_batch
-from qmono.qcore import DensityMatrix, PureState
+from qmono.measures import (
+    concurrence,
+    concurrence_batch,
+    conditional_entropy_min,
+    conditional_entropy_qubit_batch,
+)
+from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, schmidt_sq_max, vn_entropy
 from qmono.scan import (
     delta_c_batch,
     delta_d_batch,
@@ -38,25 +41,36 @@ GHZ_PARAMS = [("theta", [np.pi / 4]), ("kappa", [0.0]), ("alpha", [np.pi / 2])]
 
 class TestBatchKernels:
     def test_delta_d_matches_scalar(self):
+        # against S_A - S(A|B) - S(A|C) by the grid-and-zoom search on the partial traces
         amps = haar_random_amplitudes(6, 19)
         batch = delta_d_batch(amps)
         for i in range(6):
-            rep = delta_d(PureState(amps[i], (2, 2, 2)), "A")
-            assert abs(batch[i] - rep.delta_D) <= 1e-7
+            rho = PureState(amps[i], (2, 2, 2)).density()
+            search = vn_entropy(partial_trace(rho, "A")) - sum(
+                conditional_entropy_min(partial_trace(rho, ("A", x)), Bipartition(("A",), (x,)))[0]
+                for x in "BC"
+            )
+            assert abs(batch[i] - search) <= 1e-7
 
     def test_ggm_matches_scalar(self):
+        # against the Schmidt coefficients of the three single-site cuts
         amps = haar_random_amplitudes(10, 23)
         batch = ggm_batch(amps)
         for i in range(10):
-            assert abs(batch[i] - ggm(PureState(amps[i], (2, 2, 2)))) <= 1e-12
+            psi = PureState(amps[i], (2, 2, 2))
+            cuts = [Bipartition((x,), tuple(y for y in "ABC" if y != x)) for x in "ABC"]
+            assert abs(batch[i] - (1 - max(schmidt_sq_max(psi, c) for c in cuts))) <= 1e-12
 
     def test_delta_c_matches_scalar(self):
-        # the two concurrence paths (batched vs scalar eigensolves) agree to
-        # the sqrt-of-eigenvalue noise floor
+        # against 4 det(rho_A) and the eigh form of ``concurrence`` on the partial
+        # traces; the two concurrence paths agree to the sqrt-of-eigenvalue noise floor
         amps = haar_random_amplitudes(10, 29)
         batch = delta_c_batch(amps)
         for i in range(10):
-            assert abs(batch[i] - delta_c(PureState(amps[i], (2, 2, 2)), "A")) <= 5e-8
+            rho = PureState(amps[i], (2, 2, 2)).density()
+            tangle = 4 * np.linalg.det(partial_trace(rho, "A").matrix).real
+            c2 = [concurrence(partial_trace(rho, ("A", x))) ** 2 for x in "BC"]
+            assert abs(batch[i] - (tangle - sum(c2))) <= 5e-8
 
     def test_concurrence_matches_scalar(self):
         rng = np.random.default_rng(31)
@@ -82,7 +96,7 @@ class TestBatchKernels:
         amps = np.concatenate([haar_random_amplitudes(n, 51), family_states("ghz-sym", rows)])
         for i in range(0, len(amps), 1000):
             part = amps[i : i + 1000]
-            closed, _, s_a, _, _ = pure_scores_batch(part)
+            closed, _, s_a = pure_scores_batch(part)[:3]
             rho_ab, rho_ac = _marginals(part)
             optimized = (
                 s_a - conditional_entropy_qubit_batch(rho_ab) - conditional_entropy_qubit_batch(rho_ac)
@@ -267,19 +281,18 @@ class TestSurfaceZero:
         line = find_zero_crossings("ghz-sym", {"theta": 0.4, "kappa": 1.0}, "alpha", 1e-3, np.pi / 2)
         pts = surface_zero([0.4], [1.0])
         assert len(pts) == 1
-        assert abs(pts[0].alpha_star - line[0].location) <= 1e-5
+        assert abs(pts.alpha_star[0] - line[0].location) <= 1e-5
 
     def test_sign_structure_and_residuals(self):
         pts = surface_zero(np.linspace(0.2, np.pi / 4, 4), np.linspace(0.0, 2 * np.pi, 5))
-        assert pts
-        for p in pts:
-            assert abs(p.delta_d) <= 1e-4
-            # negative just below the surface, positive just above
-            lo = delta_d_batch(family_states("ghz-sym", np.array([[p.theta, p.kappa, p.alpha_star - 0.05]])))
-            hi = delta_d_batch(family_states("ghz-sym", np.array([[p.theta, p.kappa, p.alpha_star + 0.05]])))
-            assert lo[0] < 0 < hi[0]
-            assert p.in_closed_form_domain
-            assert p.closed_form_residual <= 1e-4
+        assert len(pts)
+        assert np.all(np.abs(pts.delta_d) <= 1e-4)
+        # negative just below the surface, positive just above
+        for step in (-0.05, 0.05):
+            rows = np.stack([pts.theta, pts.kappa, pts.alpha_star + step], axis=1)
+            assert np.all(np.sign(delta_d_batch(family_states("ghz-sym", rows))) == np.sign(step))
+        assert np.all(pts.in_domain)
+        assert np.all(pts.closed_form_residual <= 1e-4)
 
 
 class TestSampleExperiment:
@@ -356,8 +369,8 @@ class TestProp4:
 
     def test_surface_points_equality(self):
         pts = surface_zero([0.35, np.pi / 4], [0.5, 2.5])
-        for p in pts:
-            psi = symmetric_ghz(p.theta, p.kappa, p.alpha_star)
+        for theta, kappa, alpha in zip(pts.theta, pts.kappa, pts.alpha_star):
+            psi = symmetric_ghz(theta, kappa, alpha)
             res = prop4_check(psi, "A")
             assert res.precondition_met
             assert res.satisfied
