@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, minimize, tangent_frame
+from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, minimize, tangent_frame
 from .qcore import DensityMatrix, PureState
 
 _MAX_PARTIES = 6
@@ -69,19 +69,13 @@ class MKSettings:
         if angles.size % 4:
             raise ValueError("need 4 angles per party")
         n = angles.size // 4
-        vecs = _sphere(angles[0::2], angles[1::2])
+        vecs = bloch_vector(angles[0::2], angles[1::2]).T
         return cls(tuple(vecs[:n]), tuple(vecs[n:]))
 
     def to_angles(self) -> np.ndarray:
         v = np.array(self.a + self.a_prime)
         theta, phi = np.arccos(np.clip(v[:, 2], -1, 1)), np.arctan2(v[:, 1], v[:, 0]) % (2 * np.pi)
         return np.column_stack([theta, phi]).ravel()
-
-
-def _sphere(theta, phi) -> np.ndarray:
-    """Unit vectors from polar angles, stacked along a new last axis."""
-    s = np.sin(theta)
-    return np.stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def pauli_operator(direction) -> np.ndarray:

@@ -180,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="JSON state file")
     p.add_argument("--nodal", default="A", help="nodal observer label")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
-    common(p, restarts=64, restarts_help="random starts of the U(d) search; "
-           "pure and rank <= 2 inputs use closed forms")
+    common(p, restarts=64, restarts_help="random starts of the U(d) search on a measured qutrit or "
+           "qubit pair; pure three-qubit and rank <= 2 three-qubit inputs use closed forms")
     p.set_defaults(func=_cmd_measures)
 
     p = sub.add_parser("scan", help="grid sweep of a state family")

@@ -10,7 +10,9 @@ which for a pure three-qubit state is exact by Koashi-Winter: S(A|B) =
 E_f(AC).  ``pure_scores_batch`` takes it that way, with the concurrences,
 the three-tangle and S_A, from one pass over (K, 8) amplitudes whose first
 qubit is the nodal one (``nodal_first`` puts it there); ``ggm_batch`` is
-the generalized geometric measure of such a batch.  Other inputs are
+the generalized geometric measure of such a batch.  Both are elementwise on
+the (K,) amplitude columns x_abc (C^2 through the 2x2 tau of ``_concurrence_sq``),
+so a state's scores are bit-for-bit the same in any batch.  Other inputs are
 minimized: a qubit measured side over its Bloch direction by one
 deterministic grid-and-zoom search (whole batches at once; the scalar API is
 a batch of one, and the tests use it as the closed form's oracle); a measured
@@ -137,9 +139,7 @@ class OptimizerTrace:
 
     @property
     def gap(self) -> float:
-        if self.runner_up is None:
-            return 0.0
-        return self.runner_up - self.best
+        return 0.0 if self.runner_up is None else self.runner_up - self.best
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,9 @@ class DiscordResult:
             raise ValueError("discord != I - J")
 
 
-def bloch_vector(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
+def bloch_vector(theta, phi) -> np.ndarray:
+    """Unit vectors from polar angles: the x, y and z components stacked first."""
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
 def bloch_basis(theta: float, phi: float, subsystem=("B",)) -> MeasurementBasis:
@@ -230,15 +229,15 @@ def concurrence_batch(rhos: np.ndarray) -> np.ndarray:
 
     The l_i are the square roots of the eigenvalues of rho * rho~ in
     decreasing order, rho~ = (sy (x) sy) rho* (sy (x) sy) with conjugation in
-    the computational basis.  Computed through the Hermitian sandwich
-    sqrt(rho) rho~ sqrt(rho), which keeps every eigensolve Hermitian.
+    the computational basis, or the singular values of tau = W^T (sy (x) sy) W
+    for rho = W W^dagger, W = v sqrt(w) from ``eigh`` (``_concurrence_sq``'s tau
+    at any rank), which keeps full precision at zero eigenvalues.
     """
     rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
     w, v = np.linalg.eigh(rhos)
-    sq = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-    m = sq @ (_YY @ np.conj(rhos) @ _YY) @ sq
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None))
-    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
+    wm = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    lam = np.linalg.svd(np.swapaxes(wm, 1, 2) @ (_YY @ wm), compute_uv=False)  # decreasing
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -284,52 +283,78 @@ def nodal_first(amps, site: int) -> np.ndarray:
     return np.moveaxis(p, site + 1, 1).reshape(-1, 8)
 
 
+def _columns(amps) -> np.ndarray:
+    """(2, 2, 2, K) amplitudes: x[a, b, c] is the contiguous (K,) column of |abc>.  The
+    kernels multiply complex columns only when contiguous and of one shape: numpy's
+    strided complex loop may round differently, so scores would depend on the batch."""
+    return np.ascontiguousarray(np.asarray(amps, dtype=complex).reshape(-1, 8).T).reshape(2, 2, 2, -1)
+
+
+def _abs2(z):
+    out = z.real * z.real
+    out += z.imag * z.imag
+    return out
+
+
+def _site_marginals(x, sites) -> list:
+    """[(r00, r01, r11) for each qubit of ``sites``], each entry a (K,) left-to-right
+    sum of four products of the columns x[a, b, c]."""
+    x2, out = _abs2(x), []
+    for site in sites:
+        order = (site, *(q for q in range(3) if q != site), 3)
+        y, y2 = x.transpose(order), x2.transpose(order)
+        u, v = ([y[q, j, k] for j in (0, 1) for k in (0, 1)] for q in (0, 1))
+        r00, r11 = (y2[q, 0, 0] + y2[q, 0, 1] + y2[q, 1, 0] + y2[q, 1, 1] for q in (0, 1))
+        r01 = u[0] * v[0].conj() + u[1] * v[1].conj() + u[2] * v[2].conj() + u[3] * v[3].conj()
+        out.append((r00, r01, r11))
+    return out
+
+
 def _single_site(amps: np.ndarray, site: int) -> np.ndarray:
-    p = amps.reshape(-1, 2, 2, 2)
-    subs = ("kabc,kdbc->kad", "kabc,kadc->kbd", "kabc,kabd->kcd")
-    return np.einsum(subs[site], p, p.conj())
+    """(K, 2, 2) marginal of qubit ``site`` (0, 1 or 2) of a (K, 8) batch."""
+    r00, r01, r11 = _site_marginals(_columns(amps), (site,))[0]
+    return np.stack([r00, r01, r01.conj(), r11], axis=1).reshape(-1, 2, 2)
 
 
-def _concurrence_sq(v: np.ndarray) -> np.ndarray:
-    """C^2 of rho = V V^dagger for a (K, 4, 2) stack V: the rank-2 Wootters form.
+def _concurrence_sq(w) -> np.ndarray:
+    """Rank-2 Wootters C^2 of rho = V V^dagger, V[ab, e] = w[a, b, e], from contiguous (K,)
+    columns w[a, b, e] (e: the traced qubit).  tau = V^T (sy (x) sy) V is complex symmetric,
+    tau_cd = w01c w10d + w10c w01d - w00c w11d - w11c w00d, and its singular values are
+    Wootters' l_i, so C^2 = ||tau||_F^2 - 2 |det tau| = |t00|^2 + |t11|^2 + 2 |t01|^2 - 2 |det tau|."""
 
-    tau = V^T (sy (x) sy) V is complex symmetric and its singular values are
-    the l_i of Wootters' formula, so C^2 = ||tau||_F^2 - 2 |det tau|.
-    """
-    tau = np.swapaxes(v, 1, 2) @ (_YY @ v)
-    det = tau[:, 0, 0] * tau[:, 1, 1] - tau[:, 0, 1] * tau[:, 1, 0]
-    return np.maximum(np.sum(np.abs(tau) ** 2, axis=(1, 2)) - 2.0 * np.abs(det), 0.0)
+    def tau(c, d):
+        return (
+            w[0, 1, c] * w[1, 0, d] + w[1, 0, c] * w[0, 1, d]
+            - w[0, 0, c] * w[1, 1, d] - w[1, 1, c] * w[0, 0, d]
+        )
+
+    t00, t01, t11 = tau(0, 0), tau(0, 1), tau(1, 1)
+    c2 = _abs2(t00) + _abs2(t11) + 2.0 * _abs2(t01) - 2.0 * np.abs(t00 * t11 - t01 * t01)
+    return np.maximum(c2, 0.0)
 
 
 def pure_scores_batch(amps: np.ndarray):
     """(delta_D, delta_C, S_A, S(A|B), S(A|C), C_AB^2, C_AC^2) for a (K, 8) batch, nodal A.
 
     Exact: S(A|B) = E_f(C_AC) and S(A|C) = E_f(C_AB) (Koashi-Winter), and
-    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, all from one pass over the
-    amplitudes.
+    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, from one elementwise pass over
+    the amplitude columns (C^2 through ``_concurrence_sq``'s tau), so a state's
+    scores are bit-for-bit the same in any batch (the root finders rely on this).
     """
-    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    p = amps.reshape(-1, 2, 2, 2)
-    c2_ab = _concurrence_sq(p.reshape(-1, 4, 2))  # columns: qubit C fixed to 0, 1
-    c2_ac = _concurrence_sq(np.swapaxes(p, 2, 3).reshape(-1, 4, 2))  # qubit B fixed
-    ra = _single_site(amps, 0)
-    s_a = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])
-    tangle = 4.0 * np.clip((ra[:, 0, 0] * ra[:, 1, 1]).real - np.abs(ra[:, 0, 1]) ** 2, 0.0, None)
-    cond_ab = eof_batch(np.sqrt(c2_ac))
-    cond_ac = eof_batch(np.sqrt(c2_ab))
+    x = _columns(amps)
+    c2_ab, c2_ac = _concurrence_sq(x), _concurrence_sq(np.swapaxes(x, 1, 2))  # C, then B traced
+    r00, r01, r11 = _site_marginals(x, (0,))[0]
+    s_a = _eig2_entropy(r00, r01, r11)
+    tangle = 4.0 * np.clip(r00 * r11 - _abs2(r01), 0.0, None)
+    cond_ab, cond_ac = eof_batch(np.sqrt([c2_ac, c2_ab]))
     return s_a - cond_ab - cond_ac, tangle - c2_ab - c2_ac, s_a, cond_ab, cond_ac, c2_ab, c2_ac
 
 
 def ggm_batch(amps: np.ndarray) -> np.ndarray:
     """Generalized geometric measure of a (K, 8) batch: 1 - the largest eigenvalue
-    of the three single-qubit marginals, the three bipartitions of three qubits."""
-    amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
-    lam = None
-    for site in range(3):
-        r = _single_site(amps, site)
-        top = _eig2(r[:, 0, 0], r[:, 0, 1], r[:, 1, 1])[0]
-        lam = top if lam is None else np.maximum(lam, top)
-    return 1.0 - lam
+    of the three single-qubit marginals, the three bipartitions of three qubits.
+    Elementwise on (K,) columns, so batch-invariant like ``pure_scores_batch``."""
+    return 1.0 - np.max([_eig2(*r)[0] for r in _site_marginals(_columns(amps), range(3))], axis=0)
 
 
 def ggm(psi: PureState) -> float:

@@ -94,12 +94,12 @@ def pure_qubit_batch(psi: PureState, nodal: str) -> np.ndarray:
     return nodal_first(psi.amplitudes, psi.labels.index(nodal))
 
 
-def delta_d(state, nodal: str, zero_band: float = ZERO_BAND_DEFAULT, **opt) -> MonogamyReport:
+def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> MonogamyReport:
     """Full discord-monogamy report for one state and nodal choice.
 
     A pure three-qubit input is exact, one kernel pass (see the module
-    docstring); ``opt`` (``restarts``, ``seed``) goes to the searches of the
-    other inputs.  Other pure inputs take D(A:BC) = S_A and ``discord`` on the
+    docstring); ``restarts`` and ``seed`` go to the searches of the other
+    inputs.  Other pure inputs take D(A:BC) = S_A and ``discord`` on the
     two pairs; mixed ones ``discord`` on all three cuts (kernel and runner-up
     gap in ``D_A_BC_kernel``, ``D_A_BC_gap``) and the flag heuristic.
     """
@@ -107,6 +107,7 @@ def delta_d(state, nodal: str, zero_band: float = ZERO_BAND_DEFAULT, **opt) -> M
     rho = _as_density(state)
     pure = isinstance(state, PureState) or rho.is_pure()
     rho.index_of(nodal)  # an unknown label raises here
+    opt = {"restarts": restarts, "seed": seed}
     others = tuple(l for l in rho.labels if l != nodal)
     s_a = vn_entropy(partial_trace(rho, (nodal,)))
     d_a_bc, kernel, gap = s_a, "pure", None

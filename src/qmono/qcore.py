@@ -155,23 +155,12 @@ def tensor(a, b):
 
 def _ptrace_raw(matrix: np.ndarray, dims, keep_idx) -> np.ndarray:
     """Partial trace on a raw square matrix; keep_idx are axis positions."""
-    n = len(dims)
-    keep_idx = sorted(keep_idx)
-    t = matrix.reshape(tuple(dims) * 2)
-    letters = string.ascii_lowercase
-    row = list(letters[:n])
-    col = list(letters[:n])  # traced axes share a letter with their row
-    out = []
-    nxt = n
-    for i in keep_idx:
-        col[i] = letters[nxt]
-        nxt += 1
-        out.append(row[i])
-    out += [col[i] for i in keep_idx]
-    sub = "".join(row) + "".join(col) + "->" + "".join(out)
-    reduced = np.einsum(sub, t)
-    d = int(np.prod([dims[i] for i in keep_idx]))
-    return reduced.reshape(d, d)
+    n, keep = len(dims), sorted(keep_idx)
+    order = keep + [i for i in range(n) if i not in keep]  # kept parties first, in order
+    d_keep = int(np.prod([dims[i] for i in keep]))
+    d_drop = matrix.shape[0] // d_keep
+    t = matrix.reshape(tuple(dims) * 2).transpose(order + [n + i for i in order])
+    return np.trace(t.reshape(d_keep, d_drop, d_keep, d_drop), axis1=1, axis2=3)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -250,19 +239,14 @@ def _complex_out(z: complex) -> list[float]:
 
 
 def state_to_dict(state) -> dict:
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise ValueError("expected PureState or DensityMatrix")
+    data = {"dims": list(state.dims), "labels": list(state.labels)}
     if isinstance(state, PureState):
-        return {
-            "dims": list(state.dims),
-            "labels": list(state.labels),
-            "amplitudes": [_complex_out(z) for z in state.amplitudes],
-        }
-    if isinstance(state, DensityMatrix):
-        return {
-            "dims": list(state.dims),
-            "labels": list(state.labels),
-            "matrix": [[_complex_out(z) for z in row] for row in state.matrix],
-        }
-    raise ValueError("expected PureState or DensityMatrix")
+        data["amplitudes"] = [_complex_out(z) for z in state.amplitudes]
+    else:
+        data["matrix"] = [[_complex_out(z) for z in row] for row in state.matrix]
+    return data
 
 
 def state_from_dict(data: dict):

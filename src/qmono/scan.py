@@ -19,7 +19,6 @@ bit-identical across runs with the same inputs.
 
 from __future__ import annotations
 
-import csv
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -423,12 +422,8 @@ def sample_experiment(
     table = _score("haar", np.arange(n, dtype=float)[:, None], amps, epsilon)
     dd, gg, band = table.delta_d, table.ggm, table.zero_band
     d_counts, d_edges = np.histogram(dd, bins=60)
-    if band.any():
-        g_counts, g_edges = np.histogram(gg[band], bins=25, range=(0.0, 0.5))
-        max_in_band = float(gg[band].max())
-    else:
-        g_counts, g_edges = np.histogram([], bins=25, range=(0.0, 0.5))
-        max_in_band = None
+    g_counts, g_edges = np.histogram(gg[band], bins=25, range=(0.0, 0.5))
+    max_in_band = float(gg[band].max()) if band.any() else None
     if per_sample_path is not None:
         write_csv(table, per_sample_path)
 
@@ -490,6 +485,8 @@ def write_csv(table, path) -> None:
 
     A ScanTable, which must have rows, gives ``family,p1..pk,delta_D,delta_C,ggm,mk,zero_band``;
     a SurfaceTable ``theta,kappa,alpha_star,delta_D,ggm,closed_form_residual,in_domain``.
+    Rows are joined as ``csv.writer``'s default dialect would write them (CRLF ends): no field
+    needs quoting, as family names, ``.9g`` floats and true/false hold no comma, quote or newline.
     """
     n = len(table)
 
@@ -512,6 +509,5 @@ def write_csv(table, path) -> None:
     else:
         raise ValueError("no records to write")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))

@@ -94,6 +94,16 @@ class TestDeltaD:
         assert rep.D_A_BC_kernel == "unitary-search"
         assert rep.D_A_BC_gap >= 0.0
 
+    def test_unknown_keyword_rejected(self):
+        # pure and mixed inputs both take only restarts and seed, as keywords
+        mixed = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
+        for state in (ghz_state(), mixed):
+            for bad in ({"zero_band": 1e-3}, {"restart": 8}):
+                with pytest.raises(TypeError):
+                    delta_d(state, "A", **bad)
+            with pytest.raises(TypeError):
+                delta_d(state, "A", 8)
+
     def test_serialization(self):
         rep = delta_d(ghz_state(), "A")
         data = json.loads(rep.to_json())

@@ -1,4 +1,5 @@
 import csv
+import io
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -6,13 +7,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qmono.measures import (
+    _columns,
+    _concurrence_sq,
     concurrence,
     concurrence_batch,
     conditional_entropy_min,
     conditional_entropy_qubit_batch,
+    eof_batch,
 )
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, schmidt_sq_max, vn_entropy
 from qmono.scan import (
+    _CHUNK,
+    ScanTable,
+    SurfaceTable,
     delta_c_batch,
     delta_d_batch,
     family_states,
@@ -63,14 +70,14 @@ class TestBatchKernels:
 
     def test_delta_c_matches_scalar(self):
         # against 4 det(rho_A) and the eigh form of ``concurrence`` on the partial
-        # traces; the two concurrence paths agree to the sqrt-of-eigenvalue noise floor
+        # traces (1.1e-15 apart on these states)
         amps = haar_random_amplitudes(10, 29)
         batch = delta_c_batch(amps)
         for i in range(10):
             rho = PureState(amps[i], (2, 2, 2)).density()
             tangle = 4 * np.linalg.det(partial_trace(rho, "A").matrix).real
             c2 = [concurrence(partial_trace(rho, ("A", x))) ** 2 for x in "BC"]
-            assert abs(batch[i] - (tangle - sum(c2))) <= 5e-8
+            assert abs(batch[i] - (tangle - sum(c2))) <= 1e-13
 
     def test_concurrence_matches_scalar(self):
         rng = np.random.default_rng(31)
@@ -109,6 +116,64 @@ class TestBatchKernels:
     def test_delta_c_nonnegative_large_sample(self):
         amps = haar_random_amplitudes(10000, 47)
         assert delta_c_batch(amps).min() >= -1e-9
+
+    def test_batch_invariance(self):
+        # a state's scores are bit-for-bit the same in any batch: the root finders
+        # compare midpoint trees with one-state bisection by ==
+        amps = haar_random_amplitudes(_CHUNK + 40, 61)
+        whole = [*pure_scores_batch(amps), ggm_batch(amps)]
+        batches = ((1, range(0, _CHUNK + 40, 97)), (7, (0, 3, 1000, _CHUNK + 33)), (_CHUNK + 3, (0, 37)))
+        for size, starts in batches:
+            for i in starts:
+                part = [*pure_scores_batch(amps[i : i + size]), ggm_batch(amps[i : i + size])]
+                for got, want in zip(part, whole):
+                    assert np.array_equal(got, want[i : i + size])
+
+    def test_edge_states_against_eigh(self):
+        # the elementwise kernels against eigh-based Wootters on the marginals and
+        # eigh-based single-site spectra, on states with exact zero amplitudes
+        rng = np.random.default_rng(67)
+
+        def unit(d):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            return v / np.linalg.norm(v)
+
+        ket = {f"{i:03b}": np.eye(8)[i] for i in range(8)}
+        bell = (np.kron(KET0, KET0) + np.kron(KET1, KET1)) / np.sqrt(2)
+        amps = np.array([
+            ket["000"],
+            _kron3(unit(2), unit(2), unit(2)),  # product
+            GHZ,
+            np.sqrt(0.3) * ket["000"] + 1j * np.sqrt(0.7) * ket["111"],
+            (ket["001"] + ket["010"] + ket["100"]) / np.sqrt(3),  # W
+            np.kron(KET0, bell),
+            np.kron(bell, KET0),
+            np.kron(unit(2), unit(4)),
+            (ket["001"] + 1j * ket["010"]) / np.sqrt(2),
+            (ket["011"] - ket["100"] + 2 * ket["110"]) / np.sqrt(6),
+        ])
+        dd, dc, s_a, cond_ab, cond_ac, c2_ab, c2_ac = pure_scores_batch(amps)
+        rho_ab, rho_ac = _marginals(amps)
+        c_ab, c_ac = concurrence_batch(rho_ab), concurrence_batch(rho_ac)
+        for i, v in enumerate(amps):
+            rho = PureState(v, (2, 2, 2)).density()
+            spectra = [np.linalg.eigvalsh(partial_trace(rho, x).matrix) for x in "ABC"]
+            s = -sum(e * np.log2(e) for e in spectra[0] if e > 1e-15)
+            tangle = 4 * spectra[0][0] * spectra[0][1]
+            ef_ab, ef_ac = eof_batch(c_ab[i]), eof_batch(c_ac[i])
+            want = (s - ef_ab - ef_ac, tangle - c_ab[i] ** 2 - c_ac[i] ** 2, s, ef_ac, ef_ab)
+            got = (dd[i], dc[i], s_a[i], cond_ab[i], cond_ac[i])
+            assert_allclose(got, want, rtol=0, atol=1e-13)
+            assert_allclose(np.sqrt([c2_ab[i], c2_ac[i]]), [c_ab[i], c_ac[i]], rtol=0, atol=1e-13)
+            assert abs(ggm_batch(v)[0] - (1 - max(e[-1] for e in spectra))) <= 1e-13
+
+    def test_concurrence_rank2_precision(self):
+        # eigh-based Wootters on rank-2 rho_AB keeps full precision: it matches the
+        # amplitude form sqrt(_concurrence_sq) of the purifying three-qubit state
+        amps = haar_random_amplitudes(600, 71)
+        rho_ab, _ = _marginals(amps)
+        want = np.sqrt(_concurrence_sq(_columns(amps)))
+        assert np.max(np.abs(concurrence_batch(rho_ab) - want)) <= 1e-13
 
 
 def _kron3(a, b, c):
@@ -404,6 +469,44 @@ class TestCsv:
         write_csv(grid_scan("ghz-sym", axes), p1)
         write_csv(grid_scan("ghz-sym", axes), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def _csv_writer_bytes(header, columns) -> bytes:
+        def field(v):
+            if isinstance(v, (bool, np.bool_)):
+                return "true" if v else "false"
+            if isinstance(v, str):
+                return v
+            return "" if v is None or np.isnan(v) else f"{float(v):.9g}"
+
+        buf = io.StringIO(newline="")
+        w = csv.writer(buf)
+        w.writerow(header)
+        w.writerows([field(v) for v in row] for row in zip(*columns))
+        return buf.getvalue().encode()
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # write_csv joins rows itself; csv.writer's default dialect is the oracle
+        params = np.array([[0.1, -2.5e-7, 3.0], [np.nan, 1.0, 1e-300]])
+        scan_table = ScanTable(
+            "ghz-sym", params, np.array([1e-5, np.nan]), np.array([-0.0, 0.25]),
+            np.array([0.5, 1 / 3]), None, None, np.array([True, False]),
+        )
+        surface = SurfaceTable(
+            np.array([0.3, 0.4]), np.array([1.0, 2.0]), np.array([0.7, 1.2]), np.array([1e-9, -3e-8]),
+            np.array([0.2, 0.4]), np.array([5e-6, np.nan]), np.array([True, False]),
+        )
+        scan_header = ["family", "p1", "p2", "p3", "delta_D", "delta_C", "ggm", "mk", "zero_band"]
+        scan_cols = [["ghz-sym"] * 2, *params.T, scan_table.delta_d, scan_table.delta_c, scan_table.ggm, [None] * 2]
+        cases = [
+            (scan_table, scan_header, scan_cols + [scan_table.zero_band]),
+            (surface, ["theta", "kappa", "alpha_star", "delta_D", "ggm", "closed_form_residual", "in_domain"],
+             [getattr(surface, f.name) for f in fields(surface)]),
+        ]
+        for table, header, columns in cases:
+            path = tmp_path / "t.csv"
+            write_csv(table, path)
+            assert path.read_bytes() == self._csv_writer_bytes(header, columns)
 
     def test_no_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
