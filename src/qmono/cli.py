@@ -1,14 +1,18 @@
 """Command-line front end.
 
 Subcommands: measures, scan, surface, path, sample, bell.  Options can also
-come from a ``key = value`` config file ('#' starts a comment); flags given
-on the command line win.  Exit codes: 0 success, 1 numeric failure,
-2 usage error.
+come from a ``key = value`` file given by ``--config PATH`` or
+``--config=PATH`` ('#' starts a comment).  A key is an option name without
+its dashes, with '_' or '-' between words (``summary_json``); a one-letter
+key is the short flag (``n = 5`` is ``-n 5``).  Values are checked like
+flags, required options included, and flags on the command line win.
+Exit codes: 0 success, 1 numeric failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -92,6 +96,8 @@ def _cmd_measures(ns) -> int:
 
 def _cmd_scan(ns) -> int:
     names = FAMILY_PARAMS[ns.family]
+    if ns.mk == "closed" and ns.family != "ghz-sym":
+        raise SystemExit2("--mk closed is defined for the ghz-sym family only")
     malformed = [kv for kv in ns.axis if "=" not in kv]
     if malformed:
         raise SystemExit2(f"--axis {malformed[0]!r} is not NAME=SPEC")
@@ -161,6 +167,7 @@ def _cmd_bell(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmono",
@@ -170,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, seed=True, restarts=None, restarts_help="random MK see-saw starts"):
-        p.add_argument("--config", help="key = value options file; flags win")
+        p.add_argument("--config", metavar="PATH", help="'key = value' lines, key an option name "
+                       "without dashes ('n' for -n); checked like flags, and flags win")
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (determinism contract)")
         if restarts is not None:
@@ -231,43 +239,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject config-file values as defaults; command-line flags still win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise SystemExit2("--config needs a path")
+def _with_config_flags(argv: list[str]) -> list[str]:
+    """argv with each ``key = value`` of the ``--config`` file as a ``--key=value``
+    token right after the subcommand, so argparse checks it like a flag and any
+    command-line flag, parsed later, wins."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        values = parse_config_file(argv[i + 1])
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # '--config' without a path: the full parser words it
+        return argv
+    if path is None:
+        return argv
+    try:
+        values = parse_config_file(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit2(f"cannot read config file {argv[i + 1]!r}: {exc}") from None
-    # find the subparser to validate keys against its known destinations
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subname = next((a for a in argv if not a.startswith("-")), None)
-    if subname is None or subname not in sub_actions[0].choices:
-        raise SystemExit2("--config requires a subcommand")
-    subparser = sub_actions[0].choices[subname]
-    known = {a.dest for a in subparser._actions}
-    unknown = set(values) - known
-    if unknown:
-        raise SystemExit2(f"unknown config keys {sorted(unknown)}")
-    converted = {}
-    for key, raw in values.items():
-        action = next(a for a in subparser._actions if a.dest == key)
-        if action.type is not None:
-            try:
-                converted[key] = action.type(raw)
-            except ValueError:
-                raise SystemExit2(
-                    f"config key {key!r}: invalid {action.type.__name__} value {raw!r}"
-                ) from None
-        elif isinstance(action, argparse._AppendAction):
-            converted[key] = [raw]
-        else:
-            converted[key] = raw
-    subparser.set_defaults(**converted)
-    return argv
+        raise SystemExit2(f"cannot read config file {path!r}: {exc}") from None
+    tokens = []
+    for key, value in values.items():
+        if key in ("help", "config"):
+            raise SystemExit2(f"config key {key!r} is not an option")
+        dashes = "-" if len(key) == 1 else "--"
+        tokens.append(f"{dashes}{key.replace('_', '-')}={value}")
+    i = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv))
+    return argv[: i + 1] + tokens + argv[i + 1 :]
 
 
 def _check_options(ns: argparse.Namespace) -> None:
@@ -284,10 +279,8 @@ def _check_options(ns: argparse.Namespace) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(_with_config_flags(argv))
     except SystemExit2 as exc:
         print(f"qmono: {exc}", file=sys.stderr)
         return 2

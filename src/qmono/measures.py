@@ -44,7 +44,6 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])  # s_0 = I, s_1..s_3
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 
-_PURITY_TOL = 1e-12
 _XLOG_FLOOR = 1e-15
 
 
@@ -308,12 +307,6 @@ def _site_marginals(x, sites) -> list:
         r01 = u[0] * v[0].conj() + u[1] * v[1].conj() + u[2] * v[2].conj() + u[3] * v[3].conj()
         out.append((r00, r01, r11))
     return out
-
-
-def _single_site(amps: np.ndarray, site: int) -> np.ndarray:
-    """(K, 2, 2) marginal of qubit ``site`` (0, 1 or 2) of a (K, 8) batch."""
-    r00, r01, r11 = _site_marginals(_columns(amps), (site,))[0]
-    return np.stack([r00, r01, r01.conj(), r11], axis=1).reshape(-1, 2, 2)
 
 
 def _concurrence_sq(w) -> np.ndarray:
@@ -623,7 +616,7 @@ def discord(rho: DensityMatrix, cut: Bipartition, **opt) -> DiscordResult:
     """
     cut.check_covers(rho.labels)
     s_one = vn_entropy(partial_trace(rho, cut.side_one))
-    if rho.is_pure(_PURITY_TOL):
+    if rho.is_pure():
         return DiscordResult(
             discord=s_one,
             mutual_information=2.0 * s_one,

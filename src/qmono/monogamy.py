@@ -173,7 +173,7 @@ def cond_entropy_bounds(psi, nodal: str) -> tuple[float, float]:
     """
     _require_three_parties(psi)
     rho = _as_density(psi)
-    if not rho.is_pure(1e-10):
+    if not rho.is_pure():
         raise ValueError("cond_entropy_bounds requires a pure state")
     others = tuple(l for l in rho.labels if l != nodal)
     s = {l: vn_entropy(partial_trace(rho, (l,))) for l in rho.labels}

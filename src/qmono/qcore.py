@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
+PURITY_TOL = 1e-10  # at purity 1 - 1e-10 the neglected spectrum moves an entropy by ~2e-9
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
@@ -102,7 +103,7 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
+    def is_pure(self, tol: float = PURITY_TOL) -> bool:
         return self.purity() > 1.0 - tol
 
     def index_of(self, label: str) -> int:

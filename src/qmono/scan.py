@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bell import mk_optimize, mk_symmetric_closed_form
-from .measures import _eig2_entropy, _single_site
 from .measures import ggm_batch, pure_scores_batch  # called by these names, which bench/spans.py wraps
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
 from .monogamy import ZERO_BAND_DEFAULT, pure_qubit_batch
@@ -376,8 +375,8 @@ def surface_zero(
     call (one from 34 cells on); alpha* is the final midpoint, as in scalar
     bisection, and one more call gives delta_D there.  Also evaluates the
     closed-form surface condition 2 H(h) = H(e1) at each point, h from the
-    closed-form marginal concurrence and e1 from the single-site spectrum;
-    the residual is kept.
+    closed-form marginal concurrence and H(e1) = S_A from the same kernel
+    call as delta_D; the residual is kept.
     """
     tt, kk = np.meshgrid(np.ravel(thetas), np.ravel(kappas), indexing="ij")
     cells = np.stack([tt.ravel(), kk.ravel(), np.zeros(tt.size)], axis=1)
@@ -398,13 +397,11 @@ def surface_zero(
     astar = (b_lo + b_hi) / 2
     tt_s, kk_s = base[:, 0], base[:, 1]
     amps = family_states("ghz-sym", np.stack([tt_s, kk_s, astar], axis=1))
-    ra = _single_site(amps, 0)
-    e1 = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])  # = H(e_1)
+    dd, _, e1 = pure_scores_batch(amps)[:3]  # e1: S_A = H(e_1)
     conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)  # NaN out of domain
     h = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - conc * conc))) / 2.0
     residual = np.abs(2.0 * binary_entropy(h) - e1)
-    dd, gg = delta_d_batch(amps), ggm_batch(amps)
-    return SurfaceTable(tt_s, kk_s, astar, dd, gg, residual, ~np.isnan(conc))
+    return SurfaceTable(tt_s, kk_s, astar, dd, ggm_batch(amps), residual, ~np.isnan(conc))
 
 
 def sample_experiment(

@@ -289,6 +289,8 @@ class TestRestartsUsageError:
         (["path", "--id", "ghz", "--resolution", "2", "--epsilon", "nan"], "--epsilon must be"),
         (["scan", "--family", "ghz-sym", "--axis", "theta=0.3", "--axis", "kappa=0",
           "--axis", "alpha=1", "--epsilon", "inf"], "--epsilon must be"),
+        (["scan", "--family", "path-ghz", "--mk", "closed", "--axis", "mu=0.3"],
+         "--mk closed is defined for the ghz-sym family only"),
     ],
 )
 def test_out_of_range_tolerance_usage_error(tmp_path, capsys, argv, message):
@@ -323,7 +325,7 @@ class TestConfigFile:
         conf.write_text("bogus = 1\n")
         code = main(["sample", "--config", str(conf), "-n", "10"])
         assert code == 2
-        assert "unknown config keys" in capsys.readouterr().err
+        assert "--bogus" in capsys.readouterr().err
 
     def test_unreadable_file_usage_error(self, tmp_path, capsys):
         binary = tmp_path / "binary.cfg"
@@ -338,7 +340,61 @@ class TestConfigFile:
         conf.write_text("n = abc\n")
         assert main(["sample", "--config", str(conf)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("qmono: ") and "'abc'" in err
+        assert "-n" in err and "'abc'" in err
+
+    def test_choices_checked(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("mk = bogus\n")
+        argv = ["scan", "--family", "ghz-sym", "--axis", "theta=0.3", "--axis", "kappa=0",
+                "--axis", "alpha=1", "-o", str(tmp_path / "x.csv"), "--config", str(conf)]
+        assert main(argv) == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_required_options_from_config(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("n = 5\nsummary_json = %s\n" % (tmp_path / "s.json"))
+        assert main(["sample", "--config", str(conf)]) == 0
+        assert "n=5 " in capsys.readouterr().out
+        conf.write_text("family = ghz-sym\naxis = theta=0.3\no = %s\n" % (tmp_path / "x.csv"))
+        assert main(["scan", "--config", str(conf), "--axis", "kappa=0", "--axis", "alpha=1"]) == 0
+        assert len(list(csv.reader((tmp_path / "x.csv").open()))) == 2
+
+    def test_equals_form_and_abbreviation(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("seed = 7\n")
+        for flag in ([f"--config={conf}"], ["--conf", str(conf)]):
+            assert main(["sample", "-n", "5", *flag]) == 0
+            assert "seed=7 " in capsys.readouterr().out
+
+    def test_value_with_leading_dash(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("kappa = -1:1:3\n")
+        out = tmp_path / "surface.csv"
+        assert main(["surface", "--theta", "0.4", "--config", str(conf), "-o", str(out)]) == 0
+        assert "wrote" in capsys.readouterr().out and out.exists()
+
+    @pytest.mark.parametrize("key", ["help", "config"])
+    def test_help_and_config_keys_rejected(self, tmp_path, capsys, key):
+        conf = tmp_path / "conf"
+        conf.write_text(f"{key} = 1\n")
+        assert main(["sample", "-n", "5", "--config", str(conf)]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_flag_wins_before_or_after(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("n = 60\nseed = 3\n")
+        for argv in (["--seed", "4", "--config", str(conf)], ["--config", str(conf), "--seed", "4"]):
+            assert main(["sample", *argv]) == 0
+            assert "n=60 seed=4 " in capsys.readouterr().out
+
+    def test_values_do_not_carry_over(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("seed = 7\n")
+        assert main(["sample", "-n", "5", "--config", str(conf)]) == 0
+        assert "seed=7 " in capsys.readouterr().out
+        assert main(["sample", "-n", "5"]) == 0
+        assert "seed=0 " in capsys.readouterr().out
 
 
 class TestTopLevel:

@@ -94,6 +94,16 @@ class TestDeltaD:
         assert rep.D_A_BC_kernel == "unitary-search"
         assert rep.D_A_BC_gap >= 0.0
 
+    def test_near_pure_input_takes_the_pure_path(self):
+        # purity 1 - 5e-11 is inside qcore.PURITY_TOL, for discord and delta_d alike
+        g, w = ghz_state().amplitudes, w_state().amplitudes  # orthogonal
+        p = 2.5e-11
+        rho = DensityMatrix((1 - p) * np.outer(g, g.conj()) + p * np.outer(w, w.conj()), (2, 2, 2))
+        assert abs(rho.purity() - (1 - 5e-11)) < 1e-13
+        res = discord(rho, Bipartition(("A",), ("B", "C")), restarts=2)
+        assert res.optimizer_trace.kernel == "pure"
+        assert not delta_d(rho, "A", restarts=2).heuristic
+
     def test_unknown_keyword_rejected(self):
         # pure and mixed inputs both take only restarts and seed, as keywords
         mixed = DensityMatrix(np.eye(8) / 8, (2, 2, 2))

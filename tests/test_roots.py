@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qmono import scan
-from qmono.measures import _eig2_entropy
 from qmono.qcore import binary_entropy
 from qmono.scan import (
     FAMILY_PARAMS,
@@ -116,8 +115,7 @@ def ref_surface(thetas, kappas, alpha_lo, alpha_hi, presample, xtol, rounds_seen
     dd = eval_sel(astar)
     amps = scan.family_states("ghz-sym", np.stack([tt_s, kk_s, astar], axis=1))
     gg = scan.ggm_batch(amps)
-    ra = scan._single_site(amps, 0)
-    e1 = _eig2_entropy(ra[:, 0, 0], ra[:, 0, 1], ra[:, 1, 1])
+    e1 = scan.pure_scores_batch(amps)[2]
     conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)
     residual = np.full(sel.size, np.nan)
     for i in np.nonzero(~np.isnan(conc))[0]:  # one point at a time
