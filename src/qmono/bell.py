@@ -16,6 +16,11 @@ For N = 3, tr(B_3 eta) = (1/2)[T(a1,a2',a3) + T(a1',a2,a3) + T(a1,a2,a3')
 It is linear in each party's pair (a_p, a_p'), so with the others fixed the
 best pair is a closed form (Werner & Wolf, PRA 64, 032112 (2001)): the
 see-saw that ``mk_optimize`` runs from many starts before a Newton polish.
+Both read T through one (36, 6) party map per party p, folded once per
+state: it takes the outer product of the other two parties' settings,
+(a_q, a_q') (x) (a_r, a_r'), to p's rows (u, v) with tr(B_3 eta) =
+(a_p.u + a_p'.v)/2, so a party's rows are one broadcast product and one
+matmul.  Settings are laid out as (..., 2, 3 parties, 3): a's, then a''s.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, minimize, tangent_frame
+from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, minimize, row_norm, tangent_frame
 from .qcore import DensityMatrix, PureState
 
 _MAX_PARTIES = 6
@@ -35,6 +40,9 @@ _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # states at 2 restarts, 20 sweeps picked a 256-start reference's basin; 50 leave margin.
 _SEESAW_TOL = 1e-9  # stop once no start gains more than this in a sweep
 _SEESAW_MAX_SWEEPS = 50
+_OTHER_Q, _OTHER_R = np.array([1, 0, 0]), np.array([2, 2, 1])  # the parties q < r other than p
+# [w, s, t]: the sign of T(a_q^(s), a_r^(t)) in row w, u (w = 0) or v (w = 1); s, t = 1 is primed.
+_UV_SIGNS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
 
 
 @dataclass(frozen=True)
@@ -118,33 +126,36 @@ def mk_expectation(state, settings: MKSettings) -> float:
     return float(np.trace(mk_operator(settings) @ rho).real)
 
 
-def _pair_gradients(t, a, ap, p: int):
-    """(u, v) with B_3 = (a_p.u + a_p'.v)/2 on rows of (..., 3 parties, 3): for the other
-    parties q < r, u = T(a_q', a_r) + T(a_q, a_r') and v = T(a_q, a_r) - T(a_q', a_r')."""
-    q, r = (i for i in range(3) if i != p)
-    tp = np.moveaxis(t, p, 0)
+def _party_maps(t) -> np.ndarray:
+    """(3, 36, 6): party p's map from (a_q, a_q') (x) (a_r, a_r'), q < r the other two,
+    to its rows (u, v), u = T(a_q', a_r) + T(a_q, a_r') and v = T(a_q, a_r) - T(a_q', a_r')."""
+    tp = np.stack([np.moveaxis(t, p, 0) for p in range(3)])  # [p, i, j, k]: i party p's index
+    return np.einsum("wst,pijk->psjtkwi", _UV_SIGNS, tp).reshape(3, 36, 6)
 
-    def c(x, y):
-        return np.einsum("ijk,...j,...k->...i", tp, x, y)
 
-    aq, ar, bq, br = a[..., q, :], a[..., r, :], ap[..., q, :], ap[..., r, :]
-    return c(bq, ar) + c(aq, br), c(aq, ar) - c(bq, br)
+def _party_rows(maps, s, p: int) -> np.ndarray:
+    """Party p's rows (u, v) as (P, 2, 3) at settings s of shape (P, 2, 3 parties, 3)."""
+    x, y = s[:, :, _OTHER_Q[p]], s[:, :, _OTHER_R[p]]
+    return ((x[:, :, :, None, None] * y[:, None, None]).reshape(-1, 36) @ maps[p]).reshape(-1, 2, 3)
 
 
 def _chart_directions(xi, vec0, frame):
     """The six unit directions normalize(vec0_i + frame_i xi_i) at a (P, 12) stack of
     tangent coordinates, as (P, 6, 3), and the norms before normalizing, as (P, 6, 1)."""
     w = vec0 + np.einsum("ijk,pik->pij", frame, xi.reshape(-1, 6, 2))
-    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    norm = row_norm(w)
     return w / norm, norm
 
 
-def _negative_mk_and_gradient(xi, t, vec0, frame):
+def _negative_mk_and_gradient(xi, maps, vec0, frame):
     """-B_3 and its gradient at a (P, 12) stack of tangent coordinates around the
-    directions vec0 (a's then a''s); ``frame`` holds a tangent basis at each as (6, 3, 2)."""
+    directions vec0 (a's then a''s, (6, 3)); ``frame`` holds a tangent basis at each as
+    (6, 3, 2) and ``maps`` the party maps of ``_party_maps``."""
     vec, norm = _chart_directions(xi, vec0, frame)
-    pairs = [_pair_gradients(t, vec[:, :3], vec[:, 3:], p) for p in range(3)]
-    grad = 0.5 * np.stack([u for u, _ in pairs] + [v for _, v in pairs], axis=1)  # dB_3/d(vec)
+    s = vec.reshape(-1, 2, 3, 3)
+    x, y = s.take(_OTHER_Q, 2).swapaxes(1, 2), s.take(_OTHER_R, 2).swapaxes(1, 2)  # (P, 3, 2, 3)
+    rows = (x[..., None, None] * y[:, :, None, None]).reshape(-1, 3, 1, 36) @ maps  # all parties
+    grad = 0.5 * rows.reshape(-1, 3, 2, 3).swapaxes(1, 2).reshape(-1, 6, 3)  # dB_3/d(vec)
     value = np.sum(vec[:, [0, 3]] * grad[:, [0, 3]], axis=(1, 2))  # B_3 at party p = 0
     grad_w = (grad - np.sum(grad * vec, axis=-1, keepdims=True) * vec) / norm
     return -value, -np.einsum("pij,ijk->pik", grad_w, frame).reshape(-1, 12)
@@ -156,10 +167,12 @@ def mk_optimize(state, restarts: int = 100, seed: int = 0,
 
     The starts are ``initial`` (a warm start along a path of nearby states)
     and ``restarts`` random direction sets from ``default_rng(seed)``.
-    See-saw sweeps (a_p = u/|u|, a_p' = v/|v|, party by party, on T computed
-    once) raise all starts at once, a negative B_3 to |B_3| or more at the
-    first step.  ``measures.minimize`` polishes the best in a chart of the tangent planes
-    at its six directions (12 coordinates, evaluated on T; no polar singularity).
+    T is folded once into the three (36, 6) party maps of the module docstring.
+    See-saw sweeps (a_p = u/|u|, a_p' = v/|v|, party by party, each party's rows
+    (u, v) one product with its map) raise all starts at once, a negative B_3 to
+    |B_3| or more at the first step.  ``measures.minimize`` polishes the best in a
+    chart of the tangent planes at its six directions (12 coordinates, B_3 and its
+    gradient from the same maps; no polar singularity).
 
     The value is |tr(B_3 eta)| recomputed from the 8x8 operator at the
     returned settings, which attain it: a lower bound on the true maximum.
@@ -173,22 +186,21 @@ def mk_optimize(state, restarts: int = 100, seed: int = 0,
     starts = np.random.default_rng(seed).standard_normal((restarts, 2, 3, 3))
     if initial is not None:
         starts = np.concatenate([[[initial.a, initial.a_prime]], starts])
-    starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
-    a, ap = starts[:, 0], starts[:, 1]
+    starts /= row_norm(starts)
     t = np.einsum("iad,jbe,kcf,defabc->ijk", _PAULIS, _PAULIS, _PAULIS, rho.reshape((2,) * 6)).real
+    maps = _party_maps(t)
     value = np.full(len(starts), -np.inf)
     for _ in range(_SEESAW_MAX_SWEEPS):
         for p in range(3):
-            g = np.stack(_pair_gradients(t, a, ap, p), axis=1)  # rows (u, v)
-            norm = np.linalg.norm(g, axis=-1, keepdims=True)  # where 0, B_3 ignores the direction
-            starts[:, :, p] = np.where(norm > 0, g / np.maximum(norm, 1e-300), starts[:, :, p])
+            g = _party_rows(maps, starts, p)
+            norm = row_norm(g)  # where 0, B_3 ignores the direction
+            np.divide(g, norm, out=starts[:, :, p], where=norm > 0)
         old, value = value, 0.5 * norm.sum(axis=(1, 2))  # (|u| + |v|) / 2 after the last party
         if np.max(value - old) <= _SEESAW_TOL:
             break
-    best = int(np.argmax(value))
-    vec0 = np.concatenate([a[best], ap[best]])
+    vec0 = starts[int(np.argmax(value))].reshape(6, 3)  # a's then a''s
     frame = np.stack(tangent_frame(vec0), axis=-1)
-    xi = minimize(_negative_mk_and_gradient, np.zeros(12), args=(t, vec0, frame)).x
+    xi = minimize(_negative_mk_and_gradient, np.zeros(12), args=(maps, vec0, frame)).x
     vec = _chart_directions(xi, vec0, frame)[0][0]  # (6, 3): a batch of one point
     x = MKSettings(tuple(vec[:3]), tuple(vec[3:])).to_angles()
     return abs(float(np.trace(_mk_operator_from_angles(x) @ rho).real)), MKSettings.from_angles(x)

@@ -4,7 +4,8 @@ Subcommands: measures, scan, surface, path, sample, bell.  Options can also
 come from a ``key = value`` file given by ``--config PATH`` or
 ``--config=PATH`` ('#' starts a comment).  A key is an option name without
 its dashes, with '_' or '-' between words (``summary_json``); a one-letter
-key is the short flag (``n = 5`` is ``-n 5``).  Values are checked like
+key is the short flag (``n = 5`` is ``-n 5``), and a repeated key is a
+repeated flag (one ``axis = ...`` line per axis).  Values are checked like
 flags, required options included, and flags on the command line win.
 Exit codes: 0 success, 1 numeric failure, 2 usage error.
 """
@@ -36,8 +37,10 @@ from .scan import (
 )
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def parse_config_file(path: str) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a ``key = value`` file in file order; a key may repeat
+    (``axis`` once per axis)."""
+    out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -46,7 +49,7 @@ def parse_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise SystemExit2(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = value
+            out.append((key, value))
     return out
 
 
@@ -240,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _with_config_flags(argv: list[str]) -> list[str]:
-    """argv with each ``key = value`` of the ``--config`` file as a ``--key=value``
-    token right after the subcommand, so argparse checks it like a flag and any
-    command-line flag, parsed later, wins."""
+    """argv with each ``key = value`` line of the ``--config`` file, in file order, as a
+    ``--key=value`` token right after the subcommand, so argparse checks it like a flag,
+    a repeated key appends like a repeated flag, and any command-line flag, parsed
+    later, wins."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     try:
@@ -252,11 +256,11 @@ def _with_config_flags(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     try:
-        values = parse_config_file(path)
+        pairs = parse_config_file(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit2(f"cannot read config file {path!r}: {exc}") from None
     tokens = []
-    for key, value in values.items():
+    for key, value in pairs:
         if key in ("help", "config"):
             raise SystemExit2(f"config key {key!r} is not an option")
         dashes = "-" if len(key) == 1 else "--"

@@ -377,6 +377,19 @@ _N_THETA, _N_PHI = 32, 64  # shared coarse Bloch-angle grid
 _ZOOM_STAGES = 10
 
 
+def _coarse_grid() -> np.ndarray:
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, _N_THETA),
+        np.linspace(0.0, 2 * np.pi, _N_PHI, endpoint=False),
+        indexing="ij",
+    )
+    return bloch_vector(tt.ravel(), pp.ravel()).T
+
+
+_GRID = _coarse_grid()  # (_N_THETA * _N_PHI, 3) directions, shared by every search
+_ZOOM_OFFSETS = tuple(x.ravel() for x in np.meshgrid(*[np.linspace(-1.0, 1.0, 9)] * 2, indexing="ij"))
+
+
 def _cond_entropy_terms(m) -> np.ndarray:
     """p log2 p - sum lambda log2 lambda for each operator of a (..., d, d) stack.
 
@@ -389,9 +402,7 @@ def _cond_entropy_terms(m) -> np.ndarray:
 
 # Qubit kept side, closed form.  With R[m, j] = tr(rho s_m (x) s_j), s_0 = I,
 # M = (v_0 I + v . s) / 4 on the kept qubit, v = R[:, 0] +- R[:, 1:] n; its
-# trace p = v_0 / 2 and its eigenvalues (v_0 +- |v|) / 4 are _V0 * v_0 + _LEN * |v|.
-_V0 = np.array([0.5, 0.25, 0.25])[:, None, None, None]
-_LEN = np.array([0.0, 0.25, -0.25])[:, None, None, None]
+# trace p = v_0 / 2 and its eigenvalues are (v_0 +- |v|) / 4.
 
 
 def _qubit_components(rhos: np.ndarray):
@@ -404,9 +415,11 @@ def _qubit_components(rhos: np.ndarray):
 def _qubit_objective(comp, nvecs: np.ndarray) -> np.ndarray:
     w0, w = comp
     d = w @ nvecs.T if nvecs.ndim == 2 else np.einsum("mkj,kgj->mkg", w, nvecs)
-    v = w0[:, :, None, None] + d[..., None] * _PM
-    x = _xlog2x(_V0 * v[0] + _LEN * np.sqrt(v[1] ** 2 + v[2] ** 2 + v[3] ** 2))
-    f = x[0] - x[1] - x[2]
+    v = d[..., None] * _PM
+    v += w0[:, :, None, None]
+    q, r = 0.25 * v[0], 0.25 * np.sqrt(v[1] ** 2 + v[2] ** 2 + v[3] ** 2)
+    # three (K, G, 2) terms rather than one (3, K, G, 2) stack: the coarse grid's peak memory
+    f = _xlog2x(0.5 * v[0]) - _xlog2x(q + r) - _xlog2x(q - r)
     return f[..., 0] + f[..., 1]
 
 
@@ -424,12 +437,30 @@ def _kept_objective(comp, nvecs: np.ndarray) -> np.ndarray:
     return _cond_entropy_terms(m).sum(axis=-1)
 
 
+def row_norm(x) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1, keepdims=True) of a real stack, the same sums without its
+    dispatch (the small-batch searches call it thousands of times)."""
+    return np.sqrt((x * x).sum(axis=-1, keepdims=True))
+
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+_UNIT_X, _UNIT_Z = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+
+
+def _cross(a, b) -> np.ndarray:
+    """a x b over the last axis, the products and differences ``np.cross`` takes, without its
+    axis handling, which costs more than the arithmetic on the small stacks searches pass."""
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+
+
 def tangent_frame(n):
-    """Orthonormal (u, v) spanning the tangent plane at each unit 3-vector of an (..., 3) stack."""
-    pole = np.abs(n[..., 2:]) > 0.9
-    u = np.cross(n, np.where(pole, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return u, np.cross(n, u)
+    """Orthonormal (u, v) with u x v = n spanning the tangent plane at each unit 3-vector of
+    an (..., 3) stack: u = n x e / |n x e|, e = x^ where |n_z| > 0.9 and z^ elsewhere, and
+    v = n x u.  The Bloch zoom perturbs directions in it, and the MK polish charts each
+    of its six directions by it."""
+    u = _cross(n, np.where(np.abs(n[..., 2:]) > 0.9, _UNIT_X, _UNIT_Z))
+    u /= row_norm(u)
+    return u, _cross(n, u)
 
 
 def _minimize_bloch(objective):
@@ -441,21 +472,13 @@ def _minimize_bloch(objective):
     Fully deterministic.  Returns the (K,) minima, clipped at 0, and the
     (K, 3) minimizing directions.
     """
-    tt, pp = np.meshgrid(
-        np.linspace(0.0, np.pi, _N_THETA),
-        np.linspace(0.0, 2 * np.pi, _N_PHI, endpoint=False),
-        indexing="ij",
-    )
-    grid = bloch_vector(tt.ravel(), pp.ravel()).T
-    f = objective(grid)
+    f = objective(_GRID)
     k = f.shape[0]
     idx = np.argmin(f, axis=1)
     best = f[np.arange(k), idx]
-    n_best = grid[idx]
+    n_best = _GRID[idx]
 
-    off = np.linspace(-1.0, 1.0, 9)
-    oa, ob = np.meshgrid(off, off, indexing="ij")
-    oa, ob = oa.ravel(), ob.ravel()
+    oa, ob = _ZOOM_OFFSETS
     h = 1.5 * np.pi / _N_THETA  # covers the coarse cell with margin
     for _ in range(_ZOOM_STAGES):
         u, v = tangent_frame(n_best)
@@ -463,7 +486,7 @@ def _minimize_bloch(objective):
             n_best[:, None, :]
             + h * (oa[None, :, None] * u[:, None, :] + ob[None, :, None] * v[:, None, :])
         )
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        cand /= row_norm(cand)
         fl = objective(cand)
         j = np.argmin(fl, axis=1)
         bl = fl[np.arange(k), j]

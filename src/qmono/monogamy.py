@@ -13,7 +13,8 @@ formation, so one pass of ``measures.pure_scores_batch`` over the amplitudes,
 nodal qubit first, gives delta_D = S_A - S(A|B) - S(A|C), delta_C and the
 concurrences; D(AB) = S_B - S_C + S(A|B), since S_AB = S_C.  Inputs with no
 closed form, mixed ones and pure ones with a qutrit, take ``discord``'s
-searches.
+searches; a mixed three-qubit input takes S(A|B) and S(A|C) from one batch of
+two of the Bloch search and D(AX) = S_X - S_AX + S(A|X).
 """
 
 from __future__ import annotations
@@ -23,8 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import concurrence, discord, nodal_first, pure_scores_batch
-from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
+from .measures import (
+    concurrence,
+    conditional_entropy_qubit_batch,
+    discord,
+    nodal_first,
+    pure_scores_batch,
+)
+from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, permute_parties, vn_entropy
 
 ZERO_BAND_DEFAULT = 1e-4  # |delta_D| below this counts as "vanishing score"
 _PROP1_TOL = 1e-6
@@ -100,8 +107,10 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
     A pure three-qubit input is exact, one kernel pass (see the module
     docstring); ``restarts`` and ``seed`` go to the searches of the other
     inputs.  Other pure inputs take D(A:BC) = S_A and ``discord`` on the
-    two pairs; mixed ones ``discord`` on all three cuts (kernel and runner-up
-    gap in ``D_A_BC_kernel``, ``D_A_BC_gap``) and the flag heuristic.
+    two pairs; mixed ones ``discord`` on A:BC (kernel and runner-up gap in
+    ``D_A_BC_kernel``, ``D_A_BC_gap``) and the flag heuristic.  Their pairs
+    take one Bloch search for both S(A|X) when all three parties are qubits,
+    ``discord`` otherwise.
     """
     _require_three_parties(state)
     rho = _as_density(state)
@@ -127,11 +136,18 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
             d_a_bc, trace = res.discord, res.optimizer_trace
             kernel, gap = trace.kernel, None if trace.runner_up is None else trace.gap
         pairs = [partial_trace(rho, (nodal, o)) for o in others]
-        m_ab, m_ac = (discord(p, Bipartition((nodal,), (o,)), **opt) for p, o in zip(pairs, others))
-        if rho.dims == (2, 2, 2):
+        if rho.dims == (2, 2, 2):  # mixed: both S(A|X) from one search, D(AX) = S_X - S_AX + S(A|X)
             c_ab, c_ac = (concurrence(p) for p in pairs)
-        cond_ab, cond_ac = m_ab.conditional_entropy, m_ac.conditional_entropy
-        d_ab, d_ac = m_ab.discord, m_ac.discord
+            measured_second = [permute_parties(p, (nodal, o)).matrix for p, o in zip(pairs, others)]
+            cond_ab, cond_ac = (float(c) for c in conditional_entropy_qubit_batch(np.stack(measured_second)))
+            d_ab, d_ac = (
+                vn_entropy(partial_trace(rho, (o,))) - vn_entropy(p) + cond
+                for o, p, cond in zip(others, pairs, (cond_ab, cond_ac))
+            )
+        else:
+            m_ab, m_ac = (discord(p, Bipartition((nodal,), (o,)), **opt) for p, o in zip(pairs, others))
+            cond_ab, cond_ac = m_ab.conditional_entropy, m_ac.conditional_entropy
+            d_ab, d_ac = m_ab.discord, m_ac.discord
         value = d_a_bc - d_ab - d_ac
         prop2 = s_a - cond_ab - cond_ac if pure else None
     slack = cond_ab + cond_ac - d_a_bc

@@ -217,6 +217,30 @@ class TestSeesawOracles:
             assert vals[2] >= vals[1] - 1e-9
 
 
+def correlation_tensor(state):
+    """T_ijk = tr(eta s_i (x) s_j (x) s_k) from Kronecker products of the Pauli matrices."""
+    rho = state.density().matrix if isinstance(state, PureState) else state.matrix
+    paulis = [pauli_operator(e) for e in np.eye(3)]
+    return np.array([[[np.trace(rho @ np.kron(np.kron(si, sj), sk)).real for sk in paulis]
+                      for sj in paulis] for si in paulis])
+
+
+class TestPartyMaps:
+    def test_rows_give_the_operator_value_for_every_party(self):
+        # (a_p.u + a_p'.v)/2 with party p's rows from its map is tr(B_3 eta) for each p
+        rng = np.random.default_rng(28)
+        for state in haar_states(4, 29) + ginibre_states(3, 30):
+            maps = bell._party_maps(correlation_tensor(state))
+            for _ in range(3):
+                settings = random_settings(rng)
+                s = np.array([settings.a, settings.a_prime])[None]  # (1, 2, 3 parties, 3)
+                want = mk_expectation(state, settings)
+                for p in range(3):
+                    u, v = bell._party_rows(maps, s, p)[0]
+                    got = (s[0, 0, p] @ u + s[0, 1, p] @ v) / 2
+                    assert abs(got - want) <= 1e-12
+
+
 class TestNewtonPolish:
     def test_matches_bfgs_from_the_same_start(self, polish_calls):
         calls = polish_calls(bell)

@@ -6,7 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from qmono import scan
+from qmono import bell, scan
+from qmono.states import ghz_state
 from qmono.scan import grid_scan, path_trace, sample_experiment
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -50,3 +51,14 @@ def test_kernel_calls_go_through_the_wrapped_name(monkeypatch):
     assert calls == [6]
     sample_experiment(scan._CHUNK + 10, seed=1)
     assert calls == [6, scan._CHUNK, 10]
+
+
+def test_mk_optimize_looks_its_counted_names_up_once(monkeypatch):
+    """bench/spans.py counts ``bell._mk_operator_from_angles`` and spans ``bell.minimize``, so one
+    ``mk_optimize`` call must look each up through the module exactly once."""
+    calls = []
+    for name in ("_mk_operator_from_angles", "minimize"):
+        real = getattr(bell, name)
+        monkeypatch.setattr(bell, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    bell.mk_optimize(ghz_state(), restarts=3, seed=1)
+    assert sorted(calls) == ["_mk_operator_from_angles", "minimize"]

@@ -36,8 +36,10 @@ class TestHelpers:
 
     def test_config_file_parse(self, tmp_path):
         path = tmp_path / "conf"
-        path.write_text("seed = 9\n# comment\nepsilon = 1e-3  # trailing\n")
-        assert parse_config_file(str(path)) == {"seed": "9", "epsilon": "1e-3"}
+        path.write_text("seed = 9\n# comment\nepsilon = 1e-3  # trailing\naxis = a=1\naxis = b=2\n")
+        assert parse_config_file(str(path)) == [
+            ("seed", "9"), ("epsilon", "1e-3"), ("axis", "a=1"), ("axis", "b=2"),
+        ]
 
 
 class TestMeasuresCommand:
@@ -359,6 +361,18 @@ class TestConfigFile:
         conf.write_text("family = ghz-sym\naxis = theta=0.3\no = %s\n" % (tmp_path / "x.csv"))
         assert main(["scan", "--config", str(conf), "--axis", "kappa=0", "--axis", "alpha=1"]) == 0
         assert len(list(csv.reader((tmp_path / "x.csv").open()))) == 2
+
+    def test_every_axis_from_config(self, tmp_path, capsys):
+        # each 'axis = ...' line is its own --axis flag, so the file alone names all three
+        conf = tmp_path / "conf"
+        conf.write_text("family = ghz-sym\naxis = theta=0.3\naxis = kappa=0\naxis = alpha=1\n"
+                        "o = %s\n" % (tmp_path / "from_config.csv"))
+        assert main(["scan", "--config", str(conf)]) == 0
+        flags = ["scan", "--family", "ghz-sym", "--axis", "theta=0.3", "--axis", "kappa=0",
+                 "--axis", "alpha=1", "-o", str(tmp_path / "from_flags.csv")]
+        assert main(flags) == 0
+        written = [(tmp_path / f"from_{src}.csv").read_bytes() for src in ("config", "flags")]
+        assert written[0] == written[1] and written[0].count(b"\n") == 2
 
     def test_equals_form_and_abbreviation(self, tmp_path, capsys):
         conf = tmp_path / "conf"

@@ -198,6 +198,41 @@ def brute_force_cond_entropy(rho_ab, n_theta=200, n_phi=400, d_keep=2):
     return best
 
 
+class TestTangentFrame:
+    @staticmethod
+    def cross_form(n):
+        """The frame as np.cross gives it."""
+        e = np.where(np.abs(n[..., 2:]) > 0.9, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        u = np.cross(n, e)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        return u, np.cross(n, u)
+
+    def directions(self):
+        rng = np.random.default_rng(33)
+        n = rng.standard_normal((1000, 3))
+        phi = rng.uniform(0.0, 2 * np.pi, 8)
+        for z in (0.9 - 1e-9, 0.9 + 1e-9, -0.9 - 1e-9, -0.9 + 1e-9):  # both sides of the switch
+            ring = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(8)]) * np.sqrt(1 - z**2)
+            n = np.vstack([n, ring + [0.0, 0.0, z]])
+        n = np.vstack([n, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        return n / np.linalg.norm(n, axis=1, keepdims=True)
+
+    def test_orthonormal_right_handed(self):
+        n = self.directions()
+        u, v = measures.tangent_frame(n)
+        for x, y in ((u, u), (v, v), (n, n)):
+            assert_allclose(np.sum(x * y, axis=1), 1.0, atol=1e-15)
+        for x, y in ((u, v), (u, n), (v, n)):
+            assert np.max(np.abs(np.sum(x * y, axis=1))) <= 1e-15
+        assert_allclose(np.cross(u, v), n, atol=1e-15)
+
+    def test_matches_np_cross(self):
+        n = self.directions()
+        for stack in (n, n[:1], n[-1:]):
+            for got, want in zip(measures.tangent_frame(stack), self.cross_form(stack)):
+                assert np.max(np.abs(got - want)) <= 1e-15
+
+
 class TestConditionalEntropyMin:
     def test_pure_product(self):
         rho = dm(np.diag([1.0, 0, 0, 0]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qmono import monogamy
 from qmono.measures import conditional_entropy_min, discord
 from qmono.monogamy import MonogamyReport, cond_entropy_bounds, delta_c, delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor
@@ -93,6 +94,25 @@ class TestDeltaD:
         assert rep.D_A_BC >= -1e-9
         assert rep.D_A_BC_kernel == "unitary-search"
         assert rep.D_A_BC_gap >= 0.0
+
+    def test_mixed_pairs_match_per_pair_discord(self, monkeypatch):
+        # one K = 2 Bloch search per report gives what discord gives on each pair marginal
+        calls, real = [], monogamy.conditional_entropy_qubit_batch
+        monkeypatch.setattr(monogamy, "conditional_entropy_qubit_batch",
+                            lambda rhos: calls.append(len(rhos)) or real(rhos))
+        rng = np.random.default_rng(41)
+        for i, rank in enumerate((2, 3, 4, 5, 6, 7, 8, 2, 4, 8)):
+            g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+            m = g @ g.conj().T
+            rho = DensityMatrix(m / np.trace(m).real, (2, 2, 2))
+            nodal = "ABC"[i % 3]
+            rep = delta_d(rho, nodal, restarts=2)
+            others = [x for x in "ABC" if x != nodal]
+            for other, d_got, cond_got in zip(others, (rep.D_AB, rep.D_AC), (rep.S_cond_AB, rep.S_cond_AC)):
+                res = discord(partial_trace(rho, (nodal, other)), Bipartition((nodal,), (other,)))
+                assert abs(d_got - res.discord) <= 1e-12
+                assert abs(cond_got - res.conditional_entropy) <= 1e-12
+            assert calls == [2] * (i + 1)
 
     def test_near_pure_input_takes_the_pure_path(self):
         # purity 1 - 5e-11 is inside qcore.PURITY_TOL, for discord and delta_d alike
