@@ -19,7 +19,7 @@ see-saw that ``mk_optimize`` runs from many starts before a Newton polish.
 Both read T through one (36, 6) party map per party p, folded once per
 state: it takes the outer product of the other two parties' settings,
 (a_q, a_q') (x) (a_r, a_r'), to p's rows (u, v) with tr(B_3 eta) =
-(a_p.u + a_p'.v)/2, so a party's rows are one broadcast product and one
+(a_p.u + a_p'.v)/2, so a party's rows are one outer product and one
 matmul.  Settings are laid out as (..., 2, 3 parties, 3): a's, then a''s.
 """
 
@@ -40,6 +40,7 @@ _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # states at 2 restarts, 20 sweeps picked a 256-start reference's basin; 50 leave margin.
 _SEESAW_TOL = 1e-9  # stop once no start gains more than this in a sweep
 _SEESAW_MAX_SWEEPS = 50
+_PARTIES = np.arange(3)
 _OTHER_Q, _OTHER_R = np.array([1, 0, 0]), np.array([2, 2, 1])  # the parties q < r other than p
 # [w, s, t]: the sign of T(a_q^(s), a_r^(t)) in row w, u (w = 0) or v (w = 1); s, t = 1 is primed.
 _UV_SIGNS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
@@ -133,10 +134,18 @@ def _party_maps(t) -> np.ndarray:
     return np.einsum("wst,pijk->psjtkwi", _UV_SIGNS, tp).reshape(3, 36, 6)
 
 
-def _party_rows(maps, s, p: int) -> np.ndarray:
-    """Party p's rows (u, v) as (P, 2, 3) at settings s of shape (P, 2, 3 parties, 3)."""
-    x, y = s[:, :, _OTHER_Q[p]], s[:, :, _OTHER_R[p]]
-    return ((x[:, :, :, None, None] * y[:, None, None]).reshape(-1, 36) @ maps[p]).reshape(-1, 2, 3)
+def _party_rows(maps, s, p) -> np.ndarray:
+    """Rows (u, v) at settings s of shape (P, 2, 3 parties, 3): party p's as (P, 2, 3) for an
+    int p, each listed party's as (P, len(p), 2, 3) for an index array p.
+
+    Each start and party multiplies one 1 x 36 row by its map, which numpy hands to BLAS
+    as matrix-vector products: a first matrix-matrix product would page about 0.3 MB of
+    OpenBLAS code and buffers into a process that otherwise never needs them."""
+    x, y = (s[:, :, other[p]].swapaxes(1, -2) for other in (_OTHER_Q, _OTHER_R))  # (P, [n,] 2, 3)
+    lead = x.shape[:-2]
+    # the outer product by einsum: a broadcast multiply of these shapes allocates ~50 KB of buffers
+    xy = np.einsum("...i,...j->...ij", x.reshape(*lead, 6), y.reshape(*lead, 6))
+    return (xy.reshape(*lead, 1, 36) @ maps[p]).reshape(*lead, 2, 3)
 
 
 def _chart_directions(xi, vec0, frame):
@@ -152,10 +161,8 @@ def _negative_mk_and_gradient(xi, maps, vec0, frame):
     directions vec0 (a's then a''s, (6, 3)); ``frame`` holds a tangent basis at each as
     (6, 3, 2) and ``maps`` the party maps of ``_party_maps``."""
     vec, norm = _chart_directions(xi, vec0, frame)
-    s = vec.reshape(-1, 2, 3, 3)
-    x, y = s.take(_OTHER_Q, 2).swapaxes(1, 2), s.take(_OTHER_R, 2).swapaxes(1, 2)  # (P, 3, 2, 3)
-    rows = (x[..., None, None] * y[:, :, None, None]).reshape(-1, 3, 1, 36) @ maps  # all parties
-    grad = 0.5 * rows.reshape(-1, 3, 2, 3).swapaxes(1, 2).reshape(-1, 6, 3)  # dB_3/d(vec)
+    rows = _party_rows(maps, vec.reshape(-1, 2, 3, 3), _PARTIES)  # (P, 3 parties, 2, 3)
+    grad = 0.5 * rows.swapaxes(1, 2).reshape(-1, 6, 3)  # dB_3/d(vec)
     value = np.sum(vec[:, [0, 3]] * grad[:, [0, 3]], axis=(1, 2))  # B_3 at party p = 0
     grad_w = (grad - np.sum(grad * vec, axis=-1, keepdims=True) * vec) / norm
     return -value, -np.einsum("pij,ijk->pik", grad_w, frame).reshape(-1, 12)

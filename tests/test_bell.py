@@ -235,10 +235,12 @@ class TestPartyMaps:
                 settings = random_settings(rng)
                 s = np.array([settings.a, settings.a_prime])[None]  # (1, 2, 3 parties, 3)
                 want = mk_expectation(state, settings)
+                every = bell._party_rows(maps, s, np.arange(3))[0]  # all parties, as the polish asks
                 for p in range(3):
                     u, v = bell._party_rows(maps, s, p)[0]
                     got = (s[0, 0, p] @ u + s[0, 1, p] @ v) / 2
                     assert abs(got - want) <= 1e-12
+                    np.testing.assert_array_equal(every[p], [u, v])
 
 
 class TestNewtonPolish:
