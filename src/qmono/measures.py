@@ -1,7 +1,7 @@
 """Bipartite quantum-correlation measures.
 
 Concurrence and entanglement of formation use the two-qubit closed forms.
-Quantum discord is computed from the measured conditional entropy
+Quantum discord D(A:B) = S_B - S_AB + S(A|B) takes the measured conditional entropy
 
     S(A|B) = min over rank-1 projective measurements {Pi_i} on B
              of sum_i p_i S(rho_{A|i}),
@@ -13,14 +13,15 @@ qubit is the nodal one (``nodal_first`` puts it there); ``ggm_batch`` is
 the generalized geometric measure of such a batch.  Both are elementwise on
 the (K,) amplitude columns x_abc (C^2 through the 2x2 tau of ``_concurrence_sq``),
 so a state's scores are bit-for-bit the same in any batch.  Other inputs are
-minimized: a qubit measured side over its Bloch direction by one
+minimized: a qubit measured side over its Bloch direction n by one
 deterministic grid-and-zoom search (whole batches at once; the scalar API is
-a batch of one, and the tests use it as the closed form's oracle); a measured
-pair, a kept qubit and rank <= 2 by the exact Koashi-Winter value E_f(rho_AE),
-E purifying rho; other measured sides of dimension 3 or 4 by a seeded
-multistart gradient search over U(d) that the saddle-free Newton polish
-``minimize`` ends (it ends the MK search in ``bell`` too).  Searches give
-upper bounds; the trace names the kernel, restarts and best-vs-runner-up gap.
+a batch of one, and the tests use it as the closed form's oracle), basis
+(I +- n.sigma) / 2; a measured pair, a kept qubit and rank <= 2 by the exact
+Koashi-Winter value E_f(rho_AE), E purifying rho; other measured sides of
+dimension 3 or 4 by a seeded multistart gradient search over U(d) that the
+saddle-free Newton polish ``minimize`` ends (it ends the MK search in ``bell``
+too).  Searches give upper bounds; the trace names the kernel, restarts and
+best-vs-runner-up gap.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from .qcore import (
     Bipartition,
     DensityMatrix,
     PureState,
+    XLOG_FLOOR,
+    binary_entropy,
     partial_trace,
     permute_parties,
     vn_entropy,
+    xlog2x,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,8 +48,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])  # s_0 = I, s_1..s_3
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
-
-_XLOG_FLOOR = 1e-15
 
 
 # --- the Newton polish that ends the MK and U(d) searches ---------------------
@@ -101,11 +103,10 @@ def minimize(fun, x0, args=()) -> PolishResult:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Complete set of rank-1 orthonormal projectors on one subsystem."""
+    """Complete set of rank-1 projectors on one subsystem: d of them that sum to I are orthogonal."""
 
     subsystem: tuple[str, ...]
     projectors: tuple[np.ndarray, ...]
-    parameters: tuple[float, ...]
 
     def __post_init__(self):
         projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
@@ -118,14 +119,9 @@ class MeasurementBasis:
         for i, p in enumerate(projs):
             if abs(np.trace(p).real - 1.0) > 1e-10 or np.max(np.abs(p @ p - p)) > 1e-10:
                 raise ValueError(f"projector {i} is not rank-1 idempotent")
-            for q in projs[i + 1:]:
-                if np.max(np.abs(p @ q)) > 1e-10:
-                    raise ValueError("projectors are not mutually orthogonal")
-        for p in projs:
             p.setflags(write=False)
         object.__setattr__(self, "subsystem", tuple(self.subsystem))
         object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "parameters", tuple(float(x) for x in self.parameters))
 
 
 @dataclass(frozen=True)
@@ -161,19 +157,6 @@ def bloch_vector(theta, phi) -> np.ndarray:
     return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 
 
-def bloch_basis(theta: float, phi: float, subsystem=("B",)) -> MeasurementBasis:
-    """Projective qubit basis along the Bloch direction (theta, phi)."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    e = np.exp(1j * phi)
-    up = np.array([c, e * s])
-    dn = np.array([s, -e * c])
-    return MeasurementBasis(
-        tuple(subsystem),
-        (np.outer(up, up.conj()), np.outer(dn, dn.conj())),
-        (theta, phi),
-    )
-
-
 _GIVENS_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
@@ -204,10 +187,6 @@ def unitary_from_angles(angles) -> np.ndarray:
 # the scalar API passes.
 
 
-def _xlog2x(x) -> np.ndarray:
-    return np.where(x > _XLOG_FLOOR, x * np.log2(np.maximum(x, _XLOG_FLOOR)), 0.0)
-
-
 def _eig2(m00, m01, m11):
     """Eigenvalues (larger, smaller) of the Hermitian [[m00, m01], [m01*, m11]]."""
     half_t = (m00 + m11).real / 2
@@ -216,9 +195,9 @@ def _eig2(m00, m01, m11):
 
 
 def _eig2_entropy(m00, m01, m11):
-    """-sum e log2 e over the (clipped) eigenvalues e of the 2x2 Hermitian above."""
+    """-sum e log2 e over the eigenvalues e of the 2x2 Hermitian above (xlog2x is 0 below 0)."""
     e1, e2 = _eig2(m00, m01, m11)
-    return -_xlog2x(np.maximum(e1, 0.0)) - _xlog2x(np.maximum(e2, 0.0))
+    return -xlog2x(e1) - xlog2x(e2)
 
 
 # --- two-qubit closed forms --------------------------------------------------
@@ -254,8 +233,7 @@ def eof_batch(c) -> np.ndarray:
     which keeps its relative precision as C goes to 0.
     """
     c2 = np.asarray(c, dtype=float) ** 2
-    p = c2 / (2.0 * (1.0 + np.sqrt(np.clip(1.0 - c2, 0.0, None))))
-    return -_xlog2x(p) - _xlog2x(1.0 - p)
+    return binary_entropy(c2 / (2.0 * (1.0 + np.sqrt(np.clip(1.0 - c2, 0.0, None)))))
 
 
 def eof_two_qubit(rho: DensityMatrix) -> float:
@@ -400,8 +378,8 @@ def _cond_entropy_terms(m) -> np.ndarray:
     Summed over a measurement's outcomes this is sum_i p_i S(M_i / p_i).
     """
     p = np.trace(m, axis1=-2, axis2=-1).real
-    lam = np.maximum(np.linalg.eigvalsh(m), 0.0)
-    return _xlog2x(p) - _xlog2x(lam).sum(axis=-1)
+    lam = np.linalg.eigvalsh(m)  # xlog2x takes rounding below 0 as 0
+    return xlog2x(p) - xlog2x(lam).sum(axis=-1)
 
 
 # Qubit kept side, closed form.  With R[m, j] = tr(rho s_m (x) s_j), s_0 = I,
@@ -425,7 +403,7 @@ def _qubit_objective(comp, nvecs: np.ndarray) -> np.ndarray:
         v = d * sign
         v += w0[:, :, None]
         q, r = 0.25 * v[0], 0.25 * np.sqrt(v[1] ** 2 + v[2] ** 2 + v[3] ** 2)
-        return _xlog2x(0.5 * v[0]) - _xlog2x(q + r) - _xlog2x(q - r)
+        return xlog2x(0.5 * v[0]) - xlog2x(q + r) - xlog2x(q - r)
 
     return outcome(1.0) + outcome(-1.0)
 
@@ -532,8 +510,8 @@ def _basis_objective(r, u):
     m = np.einsum("ambn,kmi,kni->kiab", r, u.conj(), u)
     w, v = np.linalg.eigh(m)
     p = np.trace(m, axis1=-2, axis2=-1).real
-    f = (_xlog2x(p) - _xlog2x(np.maximum(w, 0.0)).sum(axis=-1)).sum(axis=-1)
-    log_g = np.log2(np.maximum(p, _XLOG_FLOOR)[..., None] / np.maximum(w, _XLOG_FLOOR))
+    f = (xlog2x(p) - xlog2x(w).sum(axis=-1)).sum(axis=-1)
+    log_g = np.log2(np.maximum(p, XLOG_FLOOR)[..., None] / np.maximum(w, XLOG_FLOOR))
     g = (v * log_g[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))  # G_i, eigenvalues log_g
     return f, np.einsum("kiba,ambn,kni->kmi", g, r, u)
 
@@ -622,10 +600,8 @@ def _conditional_entropy_min_traced(rho, cut, restarts=64, seed=0):
         else:
             comp, objective = _kept_components(matrix, d_keep), _kept_objective
         best, n = _minimize_bloch(lambda nv: objective(comp, nv))
-        value, (x, y, z) = float(best[0]), n[0]
-        theta = float(np.arccos(np.clip(z, -1.0, 1.0)))
-        phi = float(np.arctan2(y, x) % (2 * np.pi))
-        basis = bloch_basis(theta, phi, cut.side_two)
+        value, n_sigma = float(best[0]), np.einsum("j,jab->ab", n[0], _PAULI[1:])
+        basis = MeasurementBasis(cut.side_two, ((_PAULI[0] + n_sigma) / 2, (_PAULI[0] - n_sigma) / 2))
         return value, basis, OptimizerTrace(restarts=1, best=value, kernel="bloch-grid")
     if d_meas > 4:  # the search's step cap and tolerance were checked up to d = 4
         raise ValueError(f"unsupported measured dimension {d_meas} (need 2, 3 or 4)")
@@ -636,33 +612,27 @@ def _conditional_entropy_min_traced(rho, cut, restarts=64, seed=0):
             value = float(eof_batch(concurrence_batch(np.einsum("abe,cbf->aecf", p, p.conj())))[0])
             return value, None, OptimizerTrace(restarts=0, best=value, kernel="rank2-koashi-winter")
     value, u, trace = _minimize_dim4_side(matrix, d_keep, restarts, seed)
-    return value, MeasurementBasis(cut.side_two, [np.outer(c, c.conj()) for c in u.T], ()), trace
+    return value, MeasurementBasis(cut.side_two, [np.outer(c, c.conj()) for c in u.T]), trace
 
 
 def discord(rho: DensityMatrix, cut: Bipartition, **opt) -> DiscordResult:
-    """Quantum discord D = I - J with the measurement on ``cut.side_two``.
+    """Quantum discord D = I - J = S_two - S_joint + S(one|two), the measurement on ``cut.side_two``.
 
-    Pure inputs take a fast path: their discord equals the entanglement
-    entropy of the ``side_one`` marginal and needs no optimization.
+    A pure input needs no search: S_two = S_one, S_joint = 0 and S(one|two) = 0
+    (measuring side two in its Schmidt basis leaves side one pure), so D = S_one.
     """
     cut.check_covers(rho.labels)
     s_one = vn_entropy(partial_trace(rho, cut.side_one))
     if rho.is_pure():
-        return DiscordResult(
-            discord=s_one,
-            mutual_information=2.0 * s_one,
-            classical_correlation=s_one,
-            conditional_entropy=0.0,
-            best_basis=None,
-            optimizer_trace=OptimizerTrace(restarts=0, best=0.0, kernel="pure"),
-        )
-    mi = mutual_information(rho, cut)
-    cond, basis, trace = _conditional_entropy_min_traced(rho, cut, **opt)
-    j = s_one - cond
+        s_two, s_joint, cond, basis = s_one, 0.0, 0.0, None
+        trace = OptimizerTrace(restarts=0, best=0.0, kernel="pure")
+    else:
+        s_two, s_joint = vn_entropy(partial_trace(rho, cut.side_two)), vn_entropy(rho)
+        cond, basis, trace = _conditional_entropy_min_traced(rho, cut, **opt)
     return DiscordResult(
-        discord=mi - j,
-        mutual_information=mi,
-        classical_correlation=j,
+        discord=s_two - s_joint + cond,
+        mutual_information=s_one + s_two - s_joint,
+        classical_correlation=s_one - cond,
         conditional_entropy=cond,
         best_basis=basis,
         optimizer_trace=trace,

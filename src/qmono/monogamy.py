@@ -5,16 +5,15 @@ For a three-party state with nodal observer A the discord monogamy score is
     delta_D = D(A:BC) - D(AB) - D(AC)
 
 and the entanglement monogamy score replaces discord by squared concurrence.
-The measured side of every discord here is the side away from the nodal
-observer.  A pure three-qubit input, a ``PureState`` or a pure
-``DensityMatrix`` through its top eigenvector, takes the closed form: D(A:BC)
-is the nodal entropy and, by Koashi-Winter, each S(A|X) an entanglement of
-formation, so one pass of ``measures.pure_scores_batch`` over the amplitudes,
-nodal qubit first, gives delta_D = S_A - S(A|B) - S(A|C), delta_C and the
-concurrences; D(AB) = S_B - S_C + S(A|B), since S_AB = S_C.  Inputs with no
-closed form, mixed ones and pure ones with a qutrit, take ``discord``'s
-searches; a mixed three-qubit input takes S(A|B) and S(A|C) from one batch of
-two of the Bloch search and D(AX) = S_X - S_AX + S(A|X).
+Every discord measures the side X away from the nodal observer and is
+D(A:X) = S_X - S_AX + S(A|X) over one table of marginal entropies (a pure
+state's takes S_AB = S_C, S_AC = S_B and S_ABC = 0).  Only the source of
+S(A|X) depends on the input: for a pure three-qubit one (a pure
+``DensityMatrix`` through its top eigenvector) one pass of
+``measures.pure_scores_batch``, exact by Koashi-Winter, which gives delta_D,
+delta_C and the concurrences too; for the pairs of a mixed three-qubit one a
+batch of two of ``conditional_entropy_qubit_batch``; otherwise
+``measures._conditional_entropy_min_traced``, and S(A|BC) = 0 when pure.
 """
 
 from __future__ import annotations
@@ -24,13 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    concurrence,
-    conditional_entropy_qubit_batch,
-    discord,
-    nodal_first,
-    pure_scores_batch,
-)
+from . import measures
+from .measures import concurrence, conditional_entropy_qubit_batch, nodal_first, pure_scores_batch
+from .measures import discord  # noqa: F401  (bench/spans.py wraps this name)
 from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, permute_parties, vn_entropy
 
 ZERO_BAND_DEFAULT = 1e-4  # |delta_D| below this counts as "vanishing score"
@@ -41,9 +36,8 @@ _PROP1_TOL = 1e-6
 class MonogamyReport:
     """One state's scores for one nodal choice; ``to_json`` is what ``qmono measures`` prints.
 
-    ``prop2_residual`` is Prop 2's S_A - S(A|B) - S(A|C), None for mixed inputs.  On a
-    pure three-qubit report it is delta_D by construction; with a qutrit it equals
-    delta_D up to rounding, since S_AB = S_C for a pure state.
+    ``prop2_residual`` is Prop 2's S_A - S(A|B) - S(A|C), None for mixed inputs.  It
+    equals delta_D up to rounding: S_A is the entropy table's, and S_AB = S_C.
     """
 
     nodal: str
@@ -101,55 +95,61 @@ def pure_qubit_batch(psi: PureState, nodal: str) -> np.ndarray:
     return nodal_first(psi.amplitudes, psi.labels.index(nodal))
 
 
+def _entropy_table(rho: DensityMatrix, pure: bool):
+    """S(*labels) of every marginal of a three-party state, each traced and diagonalized once.
+    A pure state diagonalizes its sites only: S_AB = S_C, S_AC = S_B, S_BC = S_A, S_ABC = 0."""
+    whole = frozenset(rho.labels)
+    table = {frozenset((l,)): vn_entropy(partial_trace(rho, (l,))) for l in rho.labels}
+    for site, s_site in list(table.items()):
+        table[whole - site] = s_site if pure else vn_entropy(partial_trace(rho, whole - site))
+    table[whole] = 0.0 if pure else vn_entropy(rho)
+    return lambda *labels: table[frozenset(labels)]
+
+
 def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> MonogamyReport:
     """Full discord-monogamy report for one state and nodal choice.
 
-    A pure three-qubit input is exact, one kernel pass (see the module
-    docstring); ``restarts`` and ``seed`` go to the searches of the other
-    inputs.  Other pure inputs take D(A:BC) = S_A and ``discord`` on the
-    two pairs; mixed ones ``discord`` on A:BC (kernel and runner-up gap in
-    ``D_A_BC_kernel``, ``D_A_BC_gap``) and the flag heuristic.  Their pairs
-    take one Bloch search for both S(A|X) when all three parties are qubits,
-    ``discord`` otherwise.
+    Each S(A|X) comes from the source the module docstring names; a pure
+    three-qubit report keeps the kernel's delta_D bit for bit.  ``restarts``
+    and ``seed`` go to the searches.  A mixed input's A:BC search gives
+    ``D_A_BC_kernel`` and ``D_A_BC_gap`` and flags the report heuristic.
     """
     _require_three_parties(state)
     rho = _as_density(state)
     pure = isinstance(state, PureState) or rho.is_pure()
     rho.index_of(nodal)  # an unknown label raises here
-    opt = {"restarts": restarts, "seed": seed}
     others = tuple(l for l in rho.labels if l != nodal)
-    s_a = vn_entropy(partial_trace(rho, (nodal,)))
-    d_a_bc, kernel, gap = s_a, "pure", None
+    cuts = [Bipartition((nodal,), x) for x in (others, others[:1], others[1:])]  # A:BC, AB, AC
+    entropy = _entropy_table(rho, pure)
+    cond_a_bc, kernel, gap = 0.0, "pure", None
     c_ab = c_ac = c_a_bc = dc = None
-    if pure and rho.dims == (2, 2, 2):
+    closed_form = pure and rho.dims == (2, 2, 2)
+    if closed_form:
         if not isinstance(state, PureState):
             state = PureState(np.linalg.eigh(rho.matrix)[1][:, -1], rho.dims, rho.labels)
         scores = pure_scores_batch(pure_qubit_batch(state, nodal))  # + 0.0 below: no -0.0
         value, dc, _, cond_ab, cond_ac, c2_ab, c2_ac = (float(x[0]) + 0.0 for x in scores)
-        s_b, s_c = (vn_entropy(partial_trace(rho, (o,))) for o in others)
-        d_ab, d_ac = s_b - s_c + cond_ab, s_c - s_b + cond_ac
         c_ab, c_ac, c_a_bc = (float(np.sqrt(c2)) for c2 in (c2_ab, c2_ac, dc + c2_ab + c2_ac))
-        prop2 = value
     else:
+        search = measures._conditional_entropy_min_traced  # looked up per call: bench/spans.py wraps it
         if not pure:
-            res = discord(rho, Bipartition((nodal,), others), **opt)
-            d_a_bc, trace = res.discord, res.optimizer_trace
+            cond_a_bc, _, trace = search(rho, cuts[0], restarts, seed)
             kernel, gap = trace.kernel, None if trace.runner_up is None else trace.gap
         pairs = [partial_trace(rho, (nodal, o)) for o in others]
-        if rho.dims == (2, 2, 2):  # mixed: both S(A|X) from one search, D(AX) = S_X - S_AX + S(A|X)
+        if rho.dims == (2, 2, 2):  # mixed: both S(A|X) from one search
             c_ab, c_ac = (concurrence(p) for p in pairs)
             measured_second = [permute_parties(p, (nodal, o)).matrix for p, o in zip(pairs, others)]
             cond_ab, cond_ac = (float(c) for c in conditional_entropy_qubit_batch(np.stack(measured_second)))
-            d_ab, d_ac = (
-                vn_entropy(partial_trace(rho, (o,))) - vn_entropy(p) + cond
-                for o, p, cond in zip(others, pairs, (cond_ab, cond_ac))
-            )
         else:
-            m_ab, m_ac = (discord(p, Bipartition((nodal,), (o,)), **opt) for p, o in zip(pairs, others))
-            cond_ab, cond_ac = m_ab.conditional_entropy, m_ac.conditional_entropy
-            d_ab, d_ac = m_ab.discord, m_ac.discord
+            cond_ab, cond_ac = (search(p, cut, restarts, seed)[0] for p, cut in zip(pairs, cuts[1:]))
+    d_a_bc, d_ab, d_ac = (
+        entropy(*cut.side_two) - entropy(nodal, *cut.side_two) + cond
+        for cut, cond in zip(cuts, (cond_a_bc, cond_ab, cond_ac))
+    )
+    if not closed_form:
         value = d_a_bc - d_ab - d_ac
-        prop2 = s_a - cond_ab - cond_ac if pure else None
+    s_a = entropy(nodal)
+    prop2 = s_a - cond_ab - cond_ac if pure else None
     slack = cond_ab + cond_ac - d_a_bc
 
     return MonogamyReport(
@@ -170,7 +170,7 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
         prop1_satisfied=bool(slack >= -_PROP1_TOL),
         prop1_slack=slack,
         prop2_residual=prop2,
-        bounds=cond_entropy_bounds(rho, nodal) if pure else None,
+        bounds=_bracket(entropy, nodal, *others) if pure else None,
         heuristic=not pure,
     )
 
@@ -181,22 +181,23 @@ def delta_c(psi: PureState, nodal: str) -> float:
     return float(pure_scores_batch(pure_qubit_batch(psi, nodal))[1][0])
 
 
+def _bracket(entropy, a, b, c) -> tuple[float, float]:
+    """``cond_entropy_bounds`` from a pure state's ``_entropy_table``, nodal party ``a``."""
+    s_a, s_b, s_c = entropy(a), entropy(b), entropy(c)  # S_AB = S_C and S_AC = S_B
+    lower = max(s_a - s_c, s_b - s_c, 0.0) + max(s_a - s_b, s_c - s_b, 0.0)
+    return float(lower), float(min(s_a, s_b) + min(s_a, s_c))
+
+
 def cond_entropy_bounds(psi, nodal: str) -> tuple[float, float]:
     """Entropy-only bracket for S(A|B) + S(A|C) on pure tripartite states.
 
     upper = min[S_A, S_B] + min[S_A, S_C];
-    lower = max[S_A - S_AB, S_B - S_AB, 0] + max[S_A - S_AC, S_C - S_AC, 0].
+    lower = max[S_A - S_AB, S_B - S_AB, 0] + max[S_A - S_AC, S_C - S_AC, 0],
+    read from the single-site entropies: S_AB = S_C and S_AC = S_B.
     """
     _require_three_parties(psi)
     rho = _as_density(psi)
     if not rho.is_pure():
         raise ValueError("cond_entropy_bounds requires a pure state")
-    others = tuple(l for l in rho.labels if l != nodal)
-    s = {l: vn_entropy(partial_trace(rho, (l,))) for l in rho.labels}
-    s_ab = vn_entropy(partial_trace(rho, (nodal, others[0])))
-    s_ac = vn_entropy(partial_trace(rho, (nodal, others[1])))
-    upper = min(s[nodal], s[others[0]]) + min(s[nodal], s[others[1]])
-    lower = max(s[nodal] - s_ab, s[others[0]] - s_ab, 0.0) + max(
-        s[nodal] - s_ac, s[others[1]] - s_ac, 0.0
-    )
-    return float(lower), float(upper)
+    rho.index_of(nodal)  # an unknown label raises here
+    return _bracket(_entropy_table(rho, True), nodal, *(l for l in rho.labels if l != nodal))

@@ -22,8 +22,7 @@ HERMITICITY_TOL = 1e-10
 PURITY_TOL = 1e-10  # at purity 1 - 1e-10 the neglected spectrum moves an entropy by ~2e-9
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-
-_EIG_ZERO = 1e-12  # eigenvalues below this contribute nothing to entropy
+XLOG_FLOOR = 1e-15  # x log2 x is 0 at and below this (<= 5e-14 bits); E_f at C = 1e-7 needs 2.5e-15
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -103,8 +102,8 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return self.purity() > 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() > 1.0 - PURITY_TOL
 
     def index_of(self, label: str) -> int:
         try:
@@ -205,19 +204,21 @@ def clamped_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def xlog2x(x) -> np.ndarray:
+    """x log2 x elementwise, 0 at and below XLOG_FLOOR (0 log 0 := 0); NaN stays NaN."""
+    return np.where(x <= XLOG_FLOOR, 0.0, x * np.log2(np.maximum(x, XLOG_FLOOR)))
+
+
 def vn_entropy(rho) -> float:
     """Von Neumann entropy in bits, with 0*log(0) := 0."""
     w = clamped_eigvalsh(rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho))
-    w = w[w > _EIG_ZERO]
-    return float(-np.sum(w * np.log2(w)))
+    return float(0.0 - np.sum(xlog2x(w)))  # 0.0 - sum: a pure state's entropy is +0.0, not -0.0
 
 
 def binary_entropy(p):
-    """Shannon entropy of a {p, 1-p} distribution, in bits; elementwise over an array."""
+    """Shannon entropy of a {p, 1-p} distribution, in bits; elementwise, a NaN p giving NaN."""
     p = np.asarray(p, dtype=float)
-    out = 0.0
-    for x in (p, 1.0 - p):
-        out = out - x * np.log2(np.where(x > _EIG_ZERO, x, 1.0))  # 0 log 0 := 0; NaN stays NaN
+    out = -xlog2x(p) - xlog2x(1.0 - p)  # -0.0 at p = 0 and 1, as eof_batch had: CSVs print it
     return float(out) if out.ndim == 0 else out
 
 

@@ -215,6 +215,7 @@ def grid_scan(
 # costs at most one call saved: 6 levels per call at 1 bracket, 5 at 2-3, 4 at 4-6,
 # 3 at 7-14, 2 at 15-33 and 1 (plain bisection) from 34 brackets on.
 _TREE_STATES = 100
+_MAX_ROUNDS = 64  # bisection levels at most: 2^-64 of a bracket is below its float spacing away from 0
 
 # Brackets with an endpoint below this |delta_D| are not crossings.  The
 # closed form rounds at ~1e-15 (the Fig 2 line's alpha = 0 face reads
@@ -265,7 +266,7 @@ def _sign_changes(vals: np.ndarray, noise_floor: float) -> np.ndarray:
     return ok
 
 
-def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float, max_rounds: int = 64):
+def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float):
     """Bisect delta_D along column ``axis_idx`` of each row of ``base`` on [lo, hi].
 
     One kernel call evaluates the next ``depth`` levels of every bracket's
@@ -273,7 +274,7 @@ def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float, ma
     interval); ``depth`` is the most that keeps a call within ``_TREE_STATES``
     states, and at least 1.  The walk down keeps [lo, mid] where
     f_lo * f_mid <= 0, else [mid, hi], all brackets in lockstep while
-    max(hi - lo) > xtol, for at most ``max_rounds`` levels: every mid,
+    max(hi - lo) > xtol, for at most ``_MAX_ROUNDS`` levels: every mid,
     f-value and bracket is scalar bisection's.  It stops early once no
     midpoint lies strictly inside its bracket, since later rounds would
     move none.
@@ -281,7 +282,7 @@ def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float, ma
     idx = np.arange(lo.size)
     depth = max(1, (_TREE_STATES // lo.size + 1).bit_length() - 1)  # n (2^depth - 1) <= budget
     rounds = 0
-    while np.max(hi - lo) > xtol and rounds < max_rounds:
+    while np.max(hi - lo) > xtol and rounds < _MAX_ROUNDS:
         if not np.any((lo < (lo + hi) / 2) & ((lo + hi) / 2 < hi)):
             break  # every bracket is one float spacing wide
         level = rounds % depth

@@ -6,7 +6,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from qmono import bell, scan
+import numpy as np
+
+from qmono import bell, measures, scan
+from qmono.monogamy import delta_d
+from qmono.qcore import DensityMatrix, PureState
 from qmono.states import ghz_state
 from qmono.scan import grid_scan, path_trace, sample_experiment
 
@@ -62,3 +66,19 @@ def test_mk_optimize_looks_its_counted_names_up_once(monkeypatch):
         monkeypatch.setattr(bell, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
     bell.mk_optimize(ghz_state(), restarts=3, seed=1)
     assert sorted(calls) == ["_mk_operator_from_angles", "minimize"]
+
+
+def test_searches_go_through_the_wrapped_name(monkeypatch):
+    """bench/spans.py times the searches as ``measures._conditional_entropy_min_traced``, so
+    ``delta_d`` must look that name up on ``measures``: once for A:BC of a mixed state whose
+    pairs take the Bloch batch, and once per pair of a pure state with a qutrit."""
+    calls, real = [], measures._conditional_entropy_min_traced
+    monkeypatch.setattr(measures, "_conditional_entropy_min_traced",
+                        lambda rho, cut, *a, **k: calls.append(cut.side_two) or real(rho, cut, *a, **k))
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    m = g @ g.conj().T
+    delta_d(DensityMatrix(m / np.trace(m).real, (2, 2, 2)), "A", restarts=2)
+    assert calls == [("B", "C")]
+    delta_d(PureState(rng.standard_normal(12) + 1j * rng.standard_normal(12), (3, 2, 2)), "A", restarts=2)
+    assert calls == [("B", "C"), ("B",), ("C",)]

@@ -10,7 +10,6 @@ from qmono.measures import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    bloch_basis,
     concurrence,
     conditional_entropy_min,
     conditional_entropy_qubit_batch,
@@ -72,19 +71,31 @@ def random_unitary(rng, dim):
 
 
 class TestMeasurementBasis:
-    def test_bloch_basis_valid(self):
-        b = bloch_basis(0.7, 1.3)
-        total = sum(b.projectors)
-        assert np.max(np.abs(total - np.eye(2))) <= 1e-12
+    def test_returned_qubit_basis_attains_the_value(self):
+        # sum_i p_i S(rho_A|i) over the returned projectors, M_i = tr_B[(I (x) P_i) rho]
+        rng = np.random.default_rng(5)
+        states = [wishart_state(rng, rank=r) for r in (1, 2, 3, 4)]
+        states += [wishart_state(rng, dim=6, dims=(3, 2), rank=r) for r in (1, 2, 4, 6)]
+        for rho in states:
+            value, basis = conditional_entropy_min(rho, AB)
+            assert basis.subsystem == ("B",)
+            d_keep = rho.dims[0]
+            r = rho.matrix.reshape(d_keep, 2, d_keep, 2)
+            attained = 0.0
+            for proj in basis.projectors:
+                m = np.einsum("abcd,db->ac", r, proj)
+                p = np.trace(m).real
+                attained += p * vn_entropy(m / p)
+            assert abs(attained - value) <= 1e-12
 
     def test_completeness_enforced(self):
         p = np.diag([1.0, 0.0])
         with pytest.raises(ValueError):
-            MeasurementBasis(("B",), (p, p), (0.0,))
+            MeasurementBasis(("B",), (p, p))
 
     def test_rank_one_enforced(self):
         with pytest.raises(ValueError):
-            MeasurementBasis(("B",), (np.eye(2), np.zeros((2, 2))), (0.0,))
+            MeasurementBasis(("B",), (np.eye(2), np.zeros((2, 2))))
 
     def test_unitary_from_angles_is_unitary(self):
         rng = np.random.default_rng(0)

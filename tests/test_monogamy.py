@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from qmono import monogamy
 from qmono.measures import conditional_entropy_min, discord
 from qmono.monogamy import MonogamyReport, cond_entropy_bounds, delta_c, delta_d
-from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor
+from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor, vn_entropy
 from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
 
 from oracles import (
@@ -142,6 +142,43 @@ class TestDeltaD:
         assert data["D_A_BC_kernel"] == "pure" and data["D_A_BC_gap"] is None
         assert len(MonogamyReport.CSV_COLUMNS) == 20
         assert list(data) == list(MonogamyReport.CSV_COLUMNS)
+
+
+class TestDiscordIdentity:
+    """Every D of a report is S_X - S_AX + S(A|X), rebuilt from the public API."""
+
+    @staticmethod
+    def _rebuilt(rho, nodal, restarts):
+        def s(*labels):
+            return vn_entropy(partial_trace(rho, labels) if len(labels) < 3 else rho)
+
+        others = tuple(x for x in rho.labels if x != nodal)
+        for x in (others, others[:1], others[1:]):
+            marginal = partial_trace(rho, (nodal, *x))
+            if marginal.is_pure():  # S(A|X) = 0: measuring X in its Schmidt basis leaves A pure
+                cond = 0.0
+            else:
+                cond = conditional_entropy_min(marginal, Bipartition((nodal,), x), restarts=restarts)[0]
+            yield s(*x) - s(nodal, *x) + cond
+
+    def _check(self, state, restarts):
+        rho = state.density() if isinstance(state, PureState) else state
+        for nodal in rho.labels:
+            rep = delta_d(state, nodal, restarts=restarts)
+            for got, want in zip((rep.D_A_BC, rep.D_AB, rep.D_AC), self._rebuilt(rho, nodal, restarts)):
+                assert abs(got - want) <= 1e-12
+
+    def test_mixed_three_qubit_ranks_2_to_8(self):
+        rng = np.random.default_rng(43)
+        for rank in range(2, 9):
+            g = rng.standard_normal((8, rank)) + 1j * rng.standard_normal((8, rank))
+            m = g @ g.conj().T
+            self._check(DensityMatrix(m / np.trace(m).real, (2, 2, 2)), restarts=2)
+
+    def test_pure_qutrit_qubit_qubit(self):
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            self._check(PureState(rng.standard_normal(12) + 1j * rng.standard_normal(12), (3, 2, 2)), restarts=2)
 
 
 class TestDeltaC:
@@ -282,6 +319,19 @@ class TestBounds:
         rho = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
         with pytest.raises(ValueError):
             cond_entropy_bounds(rho, "A")
+
+    def test_qutrit_equals_the_pair_entropy_form(self):
+        # the bounds read S_AB = S_C and S_AC = S_B; the traced pair entropies give the same
+        rng = np.random.default_rng(45)
+        for _ in range(10):
+            psi = PureState(rng.standard_normal(12) + 1j * rng.standard_normal(12), (3, 2, 2))
+            rho = psi.density()
+            for nodal in "ABC":
+                a, (b, c) = nodal, [x for x in "ABC" if x != nodal]
+                s = {k: vn_entropy(partial_trace(rho, k)) for k in (a, b, c, (a, b), (a, c))}
+                upper = min(s[a], s[b]) + min(s[a], s[c])
+                lower = max(s[a] - s[a, b], s[b] - s[a, b], 0.0) + max(s[a] - s[a, c], s[c] - s[a, c], 0.0)
+                assert_allclose(cond_entropy_bounds(psi, nodal), (lower, upper), rtol=0, atol=1e-12)
 
 
 class TestDiscordEofIdentity:

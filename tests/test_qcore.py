@@ -199,6 +199,12 @@ class TestEntropy:
         assert_allclose(binary_entropy(1 / 3), np.log2(3) - 2 / 3, atol=1e-12)
         assert binary_entropy(0.0) == 0.0
 
+    def test_binary_entropy_keeps_nan_and_ends(self):
+        out = binary_entropy(np.array([np.nan, 0.0, 1.0, 0.5]))
+        assert np.isnan(out[0])
+        assert out[1] == 0.0 and out[2] == 0.0 and out[3] == 1.0
+        assert np.isnan(binary_entropy(np.nan)) and binary_entropy(1.0) == 0.0
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
