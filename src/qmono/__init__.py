@@ -24,7 +24,6 @@ from .measures import (
     discord,
     eof_two_qubit,
     ggm,
-    mutual_information,
 )
 from .monogamy import (
     MonogamyReport,

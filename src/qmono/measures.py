@@ -21,7 +21,7 @@ Koashi-Winter value E_f(rho_AE), E purifying rho; other measured sides of
 dimension 3 or 4 by a seeded multistart gradient search over U(d) that the
 saddle-free Newton polish ``minimize`` ends (it ends the MK search in ``bell``
 too).  Searches give upper bounds; the trace names the kernel, restarts and
-best-vs-runner-up gap.
+best-vs-runner-up gap.  ``DiscordResult`` reports the mutual information I = D + J.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .qcore import (
     XLOG_FLOOR,
     binary_entropy,
     partial_trace,
-    permute_parties,
     vn_entropy,
     xlog2x,
 )
@@ -48,6 +47,7 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])  # s_0 = I, s_1..s_3
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
+_PROJECTOR_TOL = 1e-10  # MeasurementBasis checks; the searches' projectors meet them to ~1e-15
 
 
 # --- the Newton polish that ends the MK and U(d) searches ---------------------
@@ -103,7 +103,8 @@ def minimize(fun, x0, args=()) -> PolishResult:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Complete set of rank-1 projectors on one subsystem: d of them that sum to I are orthogonal."""
+    """Projective measurement on one subsystem: d trace-1 P, each with P^dagger P = P (so
+    P = P^dagger = P^2), that sum to I, hence mutually orthogonal and of rank 1."""
 
     subsystem: tuple[str, ...]
     projectors: tuple[np.ndarray, ...]
@@ -114,11 +115,11 @@ class MeasurementBasis:
         if len(projs) != d:
             raise ValueError(f"need {d} projectors for dimension {d}")
         total = sum(projs)
-        if np.max(np.abs(total - np.eye(d))) > 1e-10:
+        if np.max(np.abs(total - np.eye(d))) > _PROJECTOR_TOL:
             raise ValueError("projectors do not sum to the identity")
         for i, p in enumerate(projs):
-            if abs(np.trace(p).real - 1.0) > 1e-10 or np.max(np.abs(p @ p - p)) > 1e-10:
-                raise ValueError(f"projector {i} is not rank-1 idempotent")
+            if max(abs(np.trace(p).real - 1.0), np.max(np.abs(p.conj().T @ p - p))) > _PROJECTOR_TOL:
+                raise ValueError(f"projector {i} is not a rank-1 orthogonal projector")
             p.setflags(write=False)
         object.__setattr__(self, "subsystem", tuple(self.subsystem))
         object.__setattr__(self, "projectors", projs)
@@ -239,14 +240,6 @@ def eof_batch(c) -> np.ndarray:
 def eof_two_qubit(rho: DensityMatrix) -> float:
     """Entanglement of formation of a 2-qubit state: a batch of one of ``eof_batch``."""
     return float(eof_batch(concurrence(rho)))
-
-
-def mutual_information(rho: DensityMatrix, cut: Bipartition) -> float:
-    """I = S(side one) + S(side two) - S(joint), in bits."""
-    cut.check_covers(rho.labels)
-    s1 = vn_entropy(partial_trace(rho, cut.side_one))
-    s2 = vn_entropy(partial_trace(rho, cut.side_two))
-    return s1 + s2 - vn_entropy(rho)
 
 
 # --- pure three-qubit batches ---------------------------------------------------
@@ -591,8 +584,8 @@ def conditional_entropy_min(
 
 def _conditional_entropy_min_traced(rho, cut, restarts=64, seed=0):
     cut.check_covers(rho.labels)
-    matrix = permute_parties(rho, cut.side_one + cut.side_two).matrix  # kept block first
-    d_keep = int(np.prod([rho.dims[rho.index_of(l)] for l in cut.side_one]))
+    ordered = partial_trace(rho, cut.side_one + cut.side_two)  # kept block first
+    matrix, d_keep = ordered.matrix, int(np.prod(ordered.dims[: len(cut.side_one)]))
     d_meas = matrix.shape[0] // d_keep
     if d_meas == 2:
         if d_keep == 2:
@@ -605,12 +598,11 @@ def _conditional_entropy_min_traced(rho, cut, restarts=64, seed=0):
         return value, basis, OptimizerTrace(restarts=1, best=value, kernel="bloch-grid")
     if d_meas > 4:  # the search's step cap and tolerance were checked up to d = 4
         raise ValueError(f"unsupported measured dimension {d_meas} (need 2, 3 or 4)")
-    if d_keep == 2 and d_meas == 4:
-        w, v = np.linalg.eigh(matrix)
-        if w[-3] <= _RANK2_TOL:  # E_f(tr_BC |psi><psi|), psi[a, bc, e] = sqrt(w_e) v_e[a, bc]
-            p = (v[:, -2:] * np.sqrt(np.maximum(w[-2:], 0.0))).reshape(2, 4, 2)  # psi
-            value = float(eof_batch(concurrence_batch(np.einsum("abe,cbf->aecf", p, p.conj())))[0])
-            return value, None, OptimizerTrace(restarts=0, best=value, kernel="rank2-koashi-winter")
+    if d_keep == 2 and d_meas == 4 and ordered.spectrum[-3] <= _RANK2_TOL:
+        w, v = np.linalg.eigh(matrix)  # E_f(tr_BC |psi><psi|), psi[a, bc, e] = sqrt(w_e) v_e[a, bc]
+        p = (v[:, -2:] * np.sqrt(np.maximum(w[-2:], 0.0))).reshape(2, 4, 2)  # psi
+        value = float(eof_batch(concurrence_batch(np.einsum("abe,cbf->aecf", p, p.conj())))[0])
+        return value, None, OptimizerTrace(restarts=0, best=value, kernel="rank2-koashi-winter")
     value, u, trace = _minimize_dim4_side(matrix, d_keep, restarts, seed)
     return value, MeasurementBasis(cut.side_two, [np.outer(c, c.conj()) for c in u.T]), trace
 

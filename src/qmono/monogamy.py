@@ -6,14 +6,15 @@ For a three-party state with nodal observer A the discord monogamy score is
 
 and the entanglement monogamy score replaces discord by squared concurrence.
 Every discord measures the side X away from the nodal observer and is
-D(A:X) = S_X - S_AX + S(A|X) over one table of marginal entropies (a pure
-state's takes S_AB = S_C, S_AC = S_B and S_ABC = 0).  Only the source of
-S(A|X) depends on the input: for a pure three-qubit one (a pure
-``DensityMatrix`` through its top eigenvector) one pass of
-``measures.pure_scores_batch``, exact by Koashi-Winter, which gives delta_D,
-delta_C and the concurrences too; for the pairs of a mixed three-qubit one a
-batch of two of ``conditional_entropy_qubit_batch``; otherwise
-``measures._conditional_entropy_min_traced``, and S(A|BC) = 0 when pure.
+D(A:X) = S_X - S_AX + S(A|X) over one table of marginals, each traced (a
+pair with the nodal party first) and diagonalized once (a pure state's holds
+its sites: S_AB = S_C, S_AC = S_B and S_ABC = 0).  Only the source of S(A|X)
+depends on the input: for a pure three-qubit one (a pure ``DensityMatrix``
+through its top eigenvector) one pass of ``measures.pure_scores_batch``,
+exact by Koashi-Winter, which gives delta_D, delta_C and the concurrences
+too; for a mixed three-qubit one the table's pairs, as they are, in
+``concurrence`` and one batch of ``conditional_entropy_qubit_batch``;
+otherwise ``measures._conditional_entropy_min_traced``, and S(A|BC) = 0 when pure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from . import measures
 from .measures import concurrence, conditional_entropy_qubit_batch, nodal_first, pure_scores_batch
 from .measures import discord  # noqa: F401  (bench/spans.py wraps this name)
-from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, permute_parties, vn_entropy
+from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
 
 ZERO_BAND_DEFAULT = 1e-4  # |delta_D| below this counts as "vanishing score"
 _PROP1_TOL = 1e-6
@@ -95,15 +96,20 @@ def pure_qubit_batch(psi: PureState, nodal: str) -> np.ndarray:
     return nodal_first(psi.amplitudes, psi.labels.index(nodal))
 
 
-def _entropy_table(rho: DensityMatrix, pure: bool):
-    """S(*labels) of every marginal of a three-party state, each traced and diagonalized once.
-    A pure state diagonalizes its sites only: S_AB = S_C, S_AC = S_B, S_BC = S_A, S_ABC = 0."""
-    whole = frozenset(rho.labels)
-    table = {frozenset((l,)): vn_entropy(partial_trace(rho, (l,))) for l in rho.labels}
-    for site, s_site in list(table.items()):
-        table[whole - site] = s_site if pure else vn_entropy(partial_trace(rho, whole - site))
-    table[whole] = 0.0 if pure else vn_entropy(rho)
-    return lambda *labels: table[frozenset(labels)]
+def _entropy_table(rho: DensityMatrix, nodal: str, pure: bool):
+    """``(table, entropy)``: the marginals of a three-party state as ``DensityMatrix``, keyed by
+    label set and each traced once, a pair with the ``nodal`` party first, and S(*labels) of every
+    marginal, read once from its spectrum.  A pure state's table holds its sites only, and it
+    takes S_AB = S_C, S_AC = S_B, S_BC = S_A and S_ABC = 0."""
+    whole, others = frozenset(rho.labels), tuple(l for l in rho.labels if l != nodal)
+    parts = [(l,) for l in rho.labels] + ([] if pure else [(nodal, o) for o in others] + [others])
+    table = {frozenset(p): partial_trace(rho, p) for p in parts}
+    s = {k: vn_entropy(m) for k, m in table.items()}
+    if pure:
+        s |= {whole - k: v for k, v in s.items()} | {whole: 0.0}
+    else:
+        s[whole] = vn_entropy(rho)
+    return table, lambda *labels: s[frozenset(labels)]
 
 
 def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> MonogamyReport:
@@ -120,7 +126,7 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
     rho.index_of(nodal)  # an unknown label raises here
     others = tuple(l for l in rho.labels if l != nodal)
     cuts = [Bipartition((nodal,), x) for x in (others, others[:1], others[1:])]  # A:BC, AB, AC
-    entropy = _entropy_table(rho, pure)
+    table, entropy = _entropy_table(rho, nodal, pure)
     cond_a_bc, kernel, gap = 0.0, "pure", None
     c_ab = c_ac = c_a_bc = dc = None
     closed_form = pure and rho.dims == (2, 2, 2)
@@ -135,11 +141,11 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
         if not pure:
             cond_a_bc, _, trace = search(rho, cuts[0], restarts, seed)
             kernel, gap = trace.kernel, None if trace.runner_up is None else trace.gap
-        pairs = [partial_trace(rho, (nodal, o)) for o in others]
+        # nodal first, so the measured qubit is second; a pure table holds no pair
+        pairs = [partial_trace(rho, (nodal, o)) if pure else table[frozenset((nodal, o))] for o in others]
         if rho.dims == (2, 2, 2):  # mixed: both S(A|X) from one search
             c_ab, c_ac = (concurrence(p) for p in pairs)
-            measured_second = [permute_parties(p, (nodal, o)).matrix for p, o in zip(pairs, others)]
-            cond_ab, cond_ac = (float(c) for c in conditional_entropy_qubit_batch(np.stack(measured_second)))
+            cond_ab, cond_ac = conditional_entropy_qubit_batch(np.stack([p.matrix for p in pairs])).tolist()
         else:
             cond_ab, cond_ac = (search(p, cut, restarts, seed)[0] for p, cut in zip(pairs, cuts[1:]))
     d_a_bc, d_ab, d_ac = (
@@ -200,4 +206,4 @@ def cond_entropy_bounds(psi, nodal: str) -> tuple[float, float]:
     if not rho.is_pure():
         raise ValueError("cond_entropy_bounds requires a pure state")
     rho.index_of(nodal)  # an unknown label raises here
-    return _bracket(_entropy_table(rho, True), nodal, *(l for l in rho.labels if l != nodal))
+    return _bracket(_entropy_table(rho, nodal, True)[1], nodal, *(l for l in rho.labels if l != nodal))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,11 +70,14 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator with explicit subsystem dims."""
+    """Hermitian, PSD, unit-trace operator with explicit subsystem dims.  ``spectrum`` is
+    derived, not set: the PSD check's ascending eigenvalues, clipped at 0 and read-only, which
+    ``vn_entropy`` and ``schmidt_sq_max`` read, so a matrix is diagonalized once."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     labels: tuple[str, ...] = ()
+    spectrum: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -93,9 +96,11 @@ class DensityMatrix:
         w = np.linalg.eigvalsh(m)
         if w[0] < -PSD_TOL:
             raise ValueError(f"matrix has negative eigenvalue {w[0]}")
-        m = m.copy()
+        m, w = m.copy(), np.clip(w, 0.0, None)
         m.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectrum", w)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "labels", labels)
 
@@ -154,9 +159,9 @@ def tensor(a, b):
 
 
 def _ptrace_raw(matrix: np.ndarray, dims, keep_idx) -> np.ndarray:
-    """Partial trace on a raw square matrix; keep_idx are axis positions."""
-    n, keep = len(dims), sorted(keep_idx)
-    order = keep + [i for i in range(n) if i not in keep]  # kept parties first, in order
+    """Partial trace on a raw square matrix; keep_idx are axis positions, kept in that order."""
+    n, keep = len(dims), list(keep_idx)
+    order = keep + [i for i in range(n) if i not in keep]  # kept parties first, in the given order
     d_keep = int(np.prod([dims[i] for i in keep]))
     d_drop = matrix.shape[0] // d_keep
     t = matrix.reshape(tuple(dims) * 2).transpose(order + [n + i for i in order])
@@ -164,14 +169,14 @@ def _ptrace_raw(matrix: np.ndarray, dims, keep_idx) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every party not in ``keep``; kept parties retain their order."""
-    keep = {keep} if isinstance(keep, str) else set(keep)
-    if not keep:
-        raise ValueError("keep must be nonempty")
-    unknown = keep - set(rho.labels)
-    if unknown:
-        raise ValueError(f"unknown labels {sorted(unknown)}")
-    keep_idx = [i for i, lab in enumerate(rho.labels) if lab in keep]
+    """Trace out every party not in ``keep`` and order the kept ones as ``keep`` lists them (a
+    label or a set keeps label order; every label only reorders); unknown or repeated labels raise."""
+    keep = (keep,) if isinstance(keep, str) else keep
+    keep_idx = [rho.index_of(l) for l in keep]  # an unknown label raises here
+    if isinstance(keep, (set, frozenset)):
+        keep_idx.sort()
+    if not keep_idx or len(set(keep_idx)) != len(keep_idx):
+        raise ValueError(f"keep must name distinct parties, got {tuple(keep)}")
     reduced = _ptrace_raw(rho.matrix, rho.dims, keep_idx)
     return DensityMatrix(
         reduced,
@@ -180,39 +185,17 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     )
 
 
-def permute_parties(rho: DensityMatrix, new_order) -> DensityMatrix:
-    """Reorder subsystems so labels appear in ``new_order``."""
-    order = [rho.index_of(l) for l in new_order]
-    if sorted(order) != list(range(len(rho.dims))):
-        raise ValueError("new_order must be a permutation of the labels")
-    n = len(rho.dims)
-    t = rho.matrix.reshape(tuple(rho.dims) * 2)
-    t = np.transpose(t, order + [i + n for i in order])
-    d = rho.matrix.shape[0]
-    return DensityMatrix(
-        t.reshape(d, d),
-        tuple(rho.dims[i] for i in order),
-        tuple(rho.labels[i] for i in order),
-    )
-
-
-def clamped_eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian eigenvalues with noise in [-PSD_TOL, 0) clamped to zero."""
-    w = np.linalg.eigvalsh(matrix)
-    if w.min() < -PSD_TOL:
-        raise ValueError(f"eigenvalue {w.min()} below -{PSD_TOL}: not PSD")
-    return np.clip(w, 0.0, None)
-
-
 def xlog2x(x) -> np.ndarray:
     """x log2 x elementwise, 0 at and below XLOG_FLOOR (0 log 0 := 0); NaN stays NaN."""
     return np.where(x <= XLOG_FLOOR, 0.0, x * np.log2(np.maximum(x, XLOG_FLOOR)))
 
 
 def vn_entropy(rho) -> float:
-    """Von Neumann entropy in bits, with 0*log(0) := 0."""
-    w = clamped_eigvalsh(rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho))
-    return float(0.0 - np.sum(xlog2x(w)))  # 0.0 - sum: a pure state's entropy is +0.0, not -0.0
+    """Von Neumann entropy in bits, with 0*log(0) := 0, from ``rho.spectrum``; a raw
+    matrix is checked as a one-party ``DensityMatrix`` first."""
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho, np.shape(rho)[:1])
+    return float(0.0 - np.sum(xlog2x(rho.spectrum)))  # 0.0 - sum: a pure state's entropy is +0.0, not -0.0
 
 
 def binary_entropy(p):
@@ -225,8 +208,7 @@ def binary_entropy(p):
 def schmidt_sq_max(psi: PureState, cut: Bipartition) -> float:
     """Largest squared Schmidt coefficient across the given cut."""
     cut.check_covers(psi.labels)
-    reduced = psi.marginal(cut.side_one)
-    return float(clamped_eigvalsh(reduced.matrix).max())
+    return float(psi.marginal(cut.side_one).spectrum[-1])
 
 
 # --- JSON state files -------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qmono import bell, measures, scan
+from qmono import bell, measures, monogamy, scan
 from qmono.monogamy import delta_d
 from qmono.qcore import DensityMatrix, PureState
 from qmono.states import ghz_state
@@ -82,3 +82,25 @@ def test_searches_go_through_the_wrapped_name(monkeypatch):
     assert calls == [("B", "C")]
     delta_d(PureState(rng.standard_normal(12) + 1j * rng.standard_normal(12), (3, 2, 2)), "A", restarts=2)
     assert calls == [("B", "C"), ("B",), ("C",)]
+
+
+def test_mixed_report_traces_each_marginal_once(monkeypatch):
+    """bench/spans.py counts ``partial_trace`` as ``monogamy``'s and ``measures``' name.  A mixed
+    three-qubit report traces its 3 sites and 3 pairs once each and reorders once for the
+    A:BC search, and its Bloch batch takes the table's nodal-first pair matrices as they are."""
+    calls, stacks = [], []
+    for module in (monogamy, measures):
+        monkeypatch.setattr(module, "partial_trace",
+                            lambda rho, keep, _f=module.partial_trace: calls.append(keep) or _f(rho, keep))
+    batch = monogamy.conditional_entropy_qubit_batch
+    monkeypatch.setattr(monogamy, "conditional_entropy_qubit_batch", lambda rhos: stacks.append(rhos) or batch(rhos))
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    m = g @ g.conj().T
+    rho = DensityMatrix(m / np.trace(m).real, (2, 2, 2))
+    delta_d(rho, "B", restarts=2)
+    assert len(calls) == 7
+    table, _ = monogamy._entropy_table(rho, "B", False)
+    pairs = [table[frozenset(("B", o))] for o in "AC"]
+    assert [p.labels for p in pairs] == [("B", "A"), ("B", "C")]
+    assert len(stacks) == 1 and np.array_equal(stacks[0], np.stack([p.matrix for p in pairs]))

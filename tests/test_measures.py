@@ -16,7 +16,6 @@ from qmono.measures import (
     discord,
     minimize,
     eof_two_qubit,
-    mutual_information,
     unitary_from_angles,
     _minimize_dim4_side,
 )
@@ -97,6 +96,11 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError):
             MeasurementBasis(("B",), (np.eye(2), np.zeros((2, 2))))
 
+    def test_hermiticity_enforced(self):
+        # trace-1 idempotents that sum to I, but not Hermitian: an oblique projection
+        with pytest.raises(ValueError):
+            MeasurementBasis(("B",), ([[1, 5], [0, 0]], [[0, -5], [0, 1]]))
+
     def test_unitary_from_angles_is_unitary(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -169,18 +173,20 @@ class TestEoF:
 
 
 class TestMutualInformation:
+    """I = S_A + S_B - S_AB as ``DiscordResult`` reports it."""
+
     def test_product_zero(self):
         rng = np.random.default_rng(1)
         a = wishart_state(rng, 2, (2,)).matrix
         b = wishart_state(rng, 2, (2,)).matrix
         rho = dm(np.kron(a, b))
-        assert_allclose(mutual_information(rho, AB), 0.0, atol=1e-10)
+        assert_allclose(discord(rho, AB).mutual_information, 0.0, atol=1e-10)
 
     def test_bell_two_bits(self):
-        assert_allclose(mutual_information(bell_phi_plus().density(), AB), 2.0, atol=1e-10)
+        assert_allclose(discord(bell_phi_plus().density(), AB).mutual_information, 2.0, atol=1e-10)
 
     def test_bell_mixture_one_bit(self):
-        assert_allclose(mutual_information(bell_mixture(), AB), 1.0, atol=1e-10)
+        assert_allclose(discord(bell_mixture(), AB).mutual_information, 1.0, atol=1e-10)
 
 
 def brute_force_cond_entropy(rho_ab, n_theta=200, n_phi=400, d_keep=2):

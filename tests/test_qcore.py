@@ -9,13 +9,13 @@ from qmono.qcore import (
     binary_entropy,
     load_state,
     partial_trace,
-    permute_parties,
     save_state,
     schmidt_sq_max,
     state_from_dict,
     state_to_dict,
     tensor,
     vn_entropy,
+    xlog2x,
 )
 
 from oracles import cut_of
@@ -148,10 +148,36 @@ class TestPartialTrace:
 
     def test_errors(self):
         rho = ghz().density()
-        with pytest.raises(ValueError):
-            partial_trace(rho, set())
-        with pytest.raises(ValueError):
-            partial_trace(rho, {"Q"})
+        for keep in (set(), {"Q"}, {"A", "Q"}, ("A", "A"), ("B", "A", "B"), ()):
+            with pytest.raises(ValueError):
+                partial_trace(rho, keep)
+
+    def test_order_of_keep(self):
+        # a tuple orders the kept parties; a set or a single label keeps label order
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, 12, (3, 2, 2))
+        t = rho.matrix.reshape(3, 2, 2, 3, 2, 2)  # rows a b c, columns d e f
+        direct = {
+            ("C", "A"): np.einsum("abcdbf->cafd", t).reshape(6, 6),
+            ("B", "A"): np.einsum("abcdec->baed", t).reshape(6, 6),
+            ("C", "B", "A"): np.einsum("abcdef->cbafed", t).reshape(12, 12),
+        }
+        for keep, want in direct.items():
+            got = partial_trace(rho, keep)
+            assert got.labels == keep and got.dims == tuple(rho.dims[rho.index_of(l)] for l in keep)
+            assert np.array_equal(got.matrix, want)
+        for keep in ({"C", "A"}, frozenset(("C", "A"))):
+            assert np.array_equal(partial_trace(rho, keep).matrix, partial_trace(rho, ("A", "C")).matrix)
+        assert partial_trace(rho, "B").labels == ("B",)
+
+    def test_full_order_round_trip(self):
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, 8, (2, 2, 2))
+        back = partial_trace(partial_trace(rho, ("B", "C", "A")), ("A", "B", "C"))
+        assert np.array_equal(back.matrix, rho.matrix)
+        assert back.labels == rho.labels
+        reordered = partial_trace(rho, ("C", "A", "B"))
+        assert_allclose(partial_trace(reordered, "C").matrix, partial_trace(rho, "C").matrix, atol=1e-13)
 
     def test_composition_matches_single_shot(self):
         rng = np.random.default_rng(11)
@@ -165,22 +191,6 @@ class TestPartialTrace:
         rng = np.random.default_rng(5)
         rho = random_density(rng, 8, (2, 2, 2))
         assert_allclose(np.trace(partial_trace(rho, ("B",)).matrix).real, 1.0, atol=1e-12)
-
-
-class TestPermuteParties:
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        rho = random_density(rng, 8, (2, 2, 2))
-        swapped = permute_parties(rho, ("B", "A", "C"))
-        back = permute_parties(swapped, ("A", "B", "C"))
-        assert_allclose(back.matrix, rho.matrix, atol=1e-14)
-
-    def test_marginal_agrees(self):
-        rng = np.random.default_rng(4)
-        rho = random_density(rng, 8, (2, 2, 2))
-        direct = partial_trace(rho, ("C",))
-        via_perm = partial_trace(permute_parties(rho, ("C", "A", "B")), ("C",))
-        assert_allclose(direct.matrix, via_perm.matrix, atol=1e-13)
 
 
 class TestEntropy:
@@ -216,6 +226,17 @@ class TestEntropy:
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
             vn_entropy(np.diag([1.5, -0.5]))
+
+    def test_reads_the_checked_spectrum(self):
+        rng = np.random.default_rng(8)
+        for dim, dims in ((2, (2,)), (4, (2, 2)), (8, (2, 2, 2)), (12, (3, 2, 2))):
+            rho = random_density(rng, dim, dims)
+            want = 0.0 - xlog2x(np.clip(np.linalg.eigvalsh(rho.matrix), 0, None)).sum()
+            assert vn_entropy(rho) == want
+            assert vn_entropy(rho.matrix) == want  # a raw matrix is checked the same way
+            assert not rho.spectrum.flags.writeable
+            with pytest.raises(ValueError):
+                rho.spectrum[0] = 1.0
 
     def test_strong_subadditivity(self):
         rng = np.random.default_rng(33)
