@@ -170,15 +170,6 @@ class TestPartialTrace:
             assert np.array_equal(partial_trace(rho, keep).matrix, partial_trace(rho, ("A", "C")).matrix)
         assert partial_trace(rho, "B").labels == ("B",)
 
-    def test_full_order_round_trip(self):
-        rng = np.random.default_rng(3)
-        rho = random_density(rng, 8, (2, 2, 2))
-        back = partial_trace(partial_trace(rho, ("B", "C", "A")), ("A", "B", "C"))
-        assert np.array_equal(back.matrix, rho.matrix)
-        assert back.labels == rho.labels
-        reordered = partial_trace(rho, ("C", "A", "B"))
-        assert_allclose(partial_trace(reordered, "C").matrix, partial_trace(rho, "C").matrix, atol=1e-13)
-
     def test_composition_matches_single_shot(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
@@ -191,6 +182,26 @@ class TestPartialTrace:
         rng = np.random.default_rng(5)
         rho = random_density(rng, 8, (2, 2, 2))
         assert_allclose(np.trace(partial_trace(rho, ("B",)).matrix).real, 1.0, atol=1e-12)
+
+
+class TestPermuteParties:
+    # a reorder is partial_trace with every label, in the new order
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(3)
+        rho = random_density(rng, 8, (2, 2, 2))
+        swapped = partial_trace(rho, ("B", "C", "A"))
+        assert swapped.labels == ("B", "C", "A")
+        back = partial_trace(swapped, ("A", "B", "C"))
+        assert np.array_equal(back.matrix, rho.matrix)
+        assert back.labels == rho.labels
+
+    def test_marginal_agrees(self):
+        rng = np.random.default_rng(4)
+        rho = random_density(rng, 8, (2, 2, 2))
+        direct = partial_trace(rho, ("C",))
+        via_perm = partial_trace(partial_trace(rho, ("C", "A", "B")), ("C",))
+        assert_allclose(direct.matrix, via_perm.matrix, atol=1e-13)
 
 
 class TestEntropy:
