@@ -7,7 +7,8 @@ its dashes, with '_' or '-' between words (``summary_json``); a one-letter
 key is the short flag (``n = 5`` is ``-n 5``), and a repeated key is a
 repeated flag (one ``axis = ...`` line per axis).  Values are checked like
 flags, required options included, and flags on the command line win.
-Exit codes: 0 success, 1 numeric failure, 2 usage error.
+Exit codes: 0 success, 1 numeric failure or a state file that cannot be read
+or is not a state (``qcore``'s state-file format), 2 usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .qcore import load_state
 from .scan import (
     FAMILY_PARAMS,
     MK_MODES,
-    find_zero_crossings,
     grid_scan,
     path_trace,
     sample_experiment,

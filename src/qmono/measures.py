@@ -534,6 +534,8 @@ def _minimize_dim4_side(matrix, d_keep, restarts, seed):
     with its own step length (doubled on Armijo success, else halved).  ``minimize`` then
     polishes the best in the Cayley chart around it, on the d * d real coordinates of X.
     """
+    if restarts < 1:
+        raise ValueError(f"the U(d) search needs restarts >= 1, got {restarts}")
     d = matrix.shape[0] // d_keep
     r = matrix.reshape(d_keep, d, d_keep, d)
     u = np.linalg.qr(np.random.default_rng(seed).standard_normal((restarts, d, d, 2)) @ [1, 1j])[0]

@@ -20,7 +20,7 @@ otherwise ``measures._conditional_entropy_min_traced``, and S(A|BC) = 0 when pur
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,10 +35,12 @@ _PROP1_TOL = 1e-6
 
 @dataclass(frozen=True)
 class MonogamyReport:
-    """One state's scores for one nodal choice; ``to_json`` is what ``qmono measures`` prints.
+    """One state's scores for one nodal choice; ``to_json`` is what ``qmono measures`` prints,
+    its keys the fields in this order.
 
     ``prop2_residual`` is Prop 2's S_A - S(A|B) - S(A|C), None for mixed inputs.  It
     equals delta_D up to rounding: S_A is the entropy table's, and S_AB = S_C.
+    ``bound_lower`` and ``bound_upper`` are ``cond_entropy_bounds`` on S(A|B) + S(A|C), None if mixed.
     """
 
     nodal: str
@@ -58,21 +60,12 @@ class MonogamyReport:
     prop1_satisfied: bool
     prop1_slack: float
     prop2_residual: float | None
-    bounds: tuple[float, float] | None
+    bound_lower: float | None
+    bound_upper: float | None
     heuristic: bool
 
-    CSV_COLUMNS = (
-        "nodal", "delta_D", "delta_C", "D_A_BC", "D_A_BC_kernel", "D_A_BC_gap", "D_AB", "D_AC",
-        "C_AB", "C_AC", "C_A_BC", "S_A", "S_cond_AB", "S_cond_AC",
-        "prop1_satisfied", "prop1_slack", "prop2_residual",
-        "bound_lower", "bound_upper", "heuristic",
-    )
-
     def to_dict(self) -> dict:
-        d = {c: getattr(self, c) for c in self.CSV_COLUMNS[:-3]}
-        d["bound_lower"], d["bound_upper"] = self.bounds or (None, None)
-        d["heuristic"] = self.heuristic
-        return d
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # asdict would deep-copy each value
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=1)
@@ -91,9 +84,7 @@ def pure_qubit_batch(psi: PureState, nodal: str) -> np.ndarray:
     """A pure three-qubit state's amplitudes as a (1, 8) batch, the ``nodal`` qubit first."""
     if not isinstance(psi, PureState) or psi.dims != (2, 2, 2):
         raise ValueError("requires a pure three-qubit state")
-    if nodal not in psi.labels:
-        raise ValueError(f"unknown party label {nodal!r}")
-    return nodal_first(psi.amplitudes, psi.labels.index(nodal))
+    return nodal_first(psi.amplitudes, psi.index_of(nodal))
 
 
 def _entropy_table(rho: DensityMatrix, nodal: str, pure: bool):
@@ -157,6 +148,7 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
     s_a = entropy(nodal)
     prop2 = s_a - cond_ab - cond_ac if pure else None
     slack = cond_ab + cond_ac - d_a_bc
+    bound_lower, bound_upper = _bracket(entropy, nodal, *others) if pure else (None, None)
 
     return MonogamyReport(
         nodal=nodal,
@@ -176,7 +168,8 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
         prop1_satisfied=bool(slack >= -_PROP1_TOL),
         prop1_slack=slack,
         prop2_residual=prop2,
-        bounds=_bracket(entropy, nodal, *others) if pure else None,
+        bound_lower=bound_lower,
+        bound_upper=bound_upper,
         heuristic=not pure,
     )
 

@@ -25,14 +25,31 @@ PSD_TOL = 1e-9
 XLOG_FLOOR = 1e-15  # x log2 x is 0 at and below this (<= 5e-14 bits); E_f at C = 1e-7 needs 2.5e-15
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    if n > 26:
-        raise ValueError("at most 26 parties supported")
-    return tuple(string.ascii_uppercase[:n])
+class _Parties:
+    """The party rule of ``PureState`` and ``DensityMatrix``: positive ``dims`` and one distinct
+    label per party, 'A', 'B', ... when ``labels`` is empty (at most 26 parties then)."""
+
+    def _set_parties(self) -> int:
+        """Check and freeze ``dims`` and ``labels``; returns the total dimension."""
+        dims = tuple(int(d) for d in self.dims)
+        if any(d < 1 for d in dims):
+            raise ValueError("subsystem dimensions must be positive")
+        labels = tuple(self.labels) or tuple(string.ascii_uppercase[: len(dims)])
+        if len(labels) != len(dims) or len(set(labels)) != len(labels):
+            raise ValueError("labels must be distinct and match dims")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "labels", labels)
+        return int(np.prod(dims))
+
+    def index_of(self, label: str) -> int:
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise ValueError(f"unknown party label {label!r}") from None
 
 
 @dataclass(frozen=True)
-class PureState:
+class PureState(_Parties):
     """Normalized state vector over a tensor product of subsystems."""
 
     amplitudes: np.ndarray
@@ -40,25 +57,16 @@ class PureState:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        d = self._set_parties()
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
-        if amps.size != int(np.prod(dims)):
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, expected {int(np.prod(dims))}"
-            )
-        labels = tuple(self.labels) or _default_labels(len(dims))
-        if len(labels) != len(dims) or len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct and match dims")
+        if amps.size != d:
+            raise ValueError(f"amplitude vector has length {amps.size}, expected {d}")
         norm = np.linalg.norm(amps)
         if norm < 1e-14:
             raise ValueError("cannot normalize the zero vector")
         amps = amps / norm
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
     def density(self) -> "DensityMatrix":
         m = np.outer(self.amplitudes, self.amplitudes.conj())
@@ -69,7 +77,7 @@ class PureState:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Parties):
     """Hermitian, PSD, unit-trace operator with explicit subsystem dims.  ``spectrum`` is
     derived, not set: the PSD check's ascending eigenvalues, clipped at 0 and read-only, which
     ``vn_entropy`` and ``schmidt_sq_max`` read, so a matrix is diagonalized once."""
@@ -80,14 +88,10 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
+        d = self._set_parties()
         m = np.asarray(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
-        d = int(np.prod(dims))
         if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-        labels = tuple(self.labels) or _default_labels(len(dims))
-        if len(labels) != len(dims) or len(set(labels)) != len(labels):
-            raise ValueError("labels must be distinct and match dims")
+            raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = np.trace(m).real
@@ -101,20 +105,12 @@ class DensityMatrix:
         w.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "spectrum", w)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "labels", labels)
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def is_pure(self) -> bool:
         return self.purity() > 1.0 - PURITY_TOL
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"unknown party label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -148,9 +144,7 @@ def tensor(a, b):
     defaults); the ordering is consistent with the package index convention
     (left operand most significant).
     """
-    labels = a.labels + b.labels
-    if len(set(labels)) != len(labels):
-        labels = _default_labels(len(labels))
+    labels = a.labels + b.labels if set(a.labels).isdisjoint(b.labels) else ()  # () takes defaults
     if isinstance(a, PureState) and isinstance(b, PureState):
         return PureState(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims, labels)
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
@@ -177,6 +171,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         keep_idx.sort()
     if not keep_idx or len(set(keep_idx)) != len(keep_idx):
         raise ValueError(f"keep must name distinct parties, got {tuple(keep)}")
+    if keep_idx == list(range(len(rho.dims))):
+        return rho  # every label in order: frozen, with read-only arrays, so it is shared
     reduced = _ptrace_raw(rho.matrix, rho.dims, keep_idx)
     return DensityMatrix(
         reduced,
@@ -215,34 +211,33 @@ def schmidt_sq_max(psi: PureState, cut: Bipartition) -> float:
 #
 # Pure states:      {"dims": [...], "labels": [...], "amplitudes": [[re, im], ...]}
 # Density matrices: {"dims": [...], "labels": [...], "matrix": [[[re, im], ...], ...]}
-# Amplitude ordering follows the module index convention.
-
-
-def _complex_out(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+# Amplitude ordering follows the module index convention; "labels" is optional.
+# Loading anything else (not an object, no "dims", entries that are not finite
+# numbers or not pairs, or a state the constructors reject) raises ValueError.
 
 
 def state_to_dict(state) -> dict:
     if not isinstance(state, (PureState, DensityMatrix)):
         raise ValueError("expected PureState or DensityMatrix")
-    data = {"dims": list(state.dims), "labels": list(state.labels)}
-    if isinstance(state, PureState):
-        data["amplitudes"] = [_complex_out(z) for z in state.amplitudes]
-    else:
-        data["matrix"] = [[_complex_out(z) for z in row] for row in state.matrix]
-    return data
+    key = "amplitudes" if isinstance(state, PureState) else "matrix"
+    z = getattr(state, key)
+    return {"dims": list(state.dims), "labels": list(state.labels), key: np.stack([z.real, z.imag], -1).tolist()}
 
 
 def state_from_dict(data: dict):
-    dims = tuple(int(d) for d in data["dims"])
-    labels = tuple(data.get("labels") or ())
-    if "amplitudes" in data:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return PureState(amps, dims, labels)
-    if "matrix" in data:
-        m = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-        return DensityMatrix(m, dims, labels)
-    raise ValueError("state dict needs an 'amplitudes' or 'matrix' key")
+    """The state a ``state_to_dict`` dict holds, bit for bit (signed zeros included)."""
+    if not isinstance(data, dict) or "dims" not in data or not {"amplitudes", "matrix"} & data.keys():
+        raise ValueError("a state is a JSON object with 'dims' and an 'amplitudes' or 'matrix' key")
+    pure = "amplitudes" in data
+    key = "amplitudes" if pure else "matrix"
+    try:
+        pairs = np.asarray(data[key], dtype=float)
+        if pairs.ndim != (2 if pure else 3) or pairs.shape[-1] != 2 or not np.isfinite(pairs).all():
+            raise ValueError(f"state {key!r} must be {'a list' if pure else 'rows'} of finite [re, im] pairs")
+        z = pairs.view(complex)[..., 0]
+        return (PureState if pure else DensityMatrix)(z, data["dims"], data.get("labels") or ())
+    except TypeError as exc:  # an entry of the wrong type, such as dims that are not a list
+        raise ValueError(f"malformed state: {exc}") from None
 
 
 def save_state(state, path) -> None:

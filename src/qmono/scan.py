@@ -137,11 +137,6 @@ def _marginals(amps: np.ndarray):
     return rho_ab, rho_ac
 
 
-def delta_d_batch(amps: np.ndarray) -> np.ndarray:
-    """Pure-state discord monogamy score, nodal A, vectorized."""
-    return pure_scores_batch(amps)[0]
-
-
 def delta_c_batch(amps: np.ndarray) -> np.ndarray:
     """Entanglement monogamy score 4 det(rho_A) - C_AB^2 - C_AC^2, vectorized."""
     return pure_scores_batch(amps)[1]
@@ -233,7 +228,7 @@ def _delta_along(family: str, base: np.ndarray, axis_idx: int, xs: np.ndarray) -
     rows[:, axis_idx] = xs.ravel()
     out = np.empty(rows.shape[0])
     for i in range(0, rows.shape[0], _CHUNK):
-        out[i : i + _CHUNK] = delta_d_batch(family_states(family, rows[i : i + _CHUNK]))
+        out[i : i + _CHUNK] = pure_scores_batch(family_states(family, rows[i : i + _CHUNK]))[0]
     return out.reshape(xs.shape)
 
 

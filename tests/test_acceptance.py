@@ -16,7 +16,6 @@ from qmono.monogamy import delta_c, delta_d
 from qmono.qcore import DensityMatrix, PureState, partial_trace, vn_entropy, binary_entropy
 from qmono.scan import (
     delta_c_batch,
-    delta_d_batch,
     family_states,
     find_zero_crossings,
     ggm_batch,
@@ -73,7 +72,7 @@ def band_states_10k():
     which ends at delta_D = 1.  Draws whose score changes sign on a 5-point
     mu grid are kept, whether they start negative or start positive and dip
     below zero.  The first sign change is bisected on the Koashi-Winter
-    closed form (``delta_d_batch``) until |delta_D| <= 1e-8; every path must
+    closed form (``pure_scores_batch``) until |delta_D| <= 1e-8; every path must
     get there within the round cap.  The states are then scored cold by the
     grid-and-zoom optimizer, S_A - S(A|B) - S(A|C), a code path independent
     of the one that placed them.
@@ -91,7 +90,7 @@ def band_states_10k():
 
     grid = np.linspace(0.0, np.pi / 2, 5)
     vals = np.stack(
-        [delta_d_batch(path_states(draws, np.full(n_draws, m))) for m in grid], axis=1
+        [pure_scores_batch(path_states(draws, np.full(n_draws, m)))[0] for m in grid], axis=1
     )
     change = vals[:, :-1] * vals[:, 1:] < 0
     has = change.any(axis=1)
@@ -113,7 +112,7 @@ def band_states_10k():
         if idx.size == 0:
             break
         mid = (lo[idx] + hi[idx]) / 2
-        f_mid = delta_d_batch(path_states(starts[idx], mid))
+        f_mid = pure_scores_batch(path_states(starts[idx], mid))[0]
         mus[idx] = mid
         left = f_lo[idx] * f_mid <= 0
         hi[idx] = np.where(left, mid, hi[idx])
@@ -205,14 +204,14 @@ def test_criterion_06_fig2_line():
         "ghz-sym", {"theta": 0.4, "kappa": 1.0}, "alpha", 1e-4, np.pi / 2
     )
     n = len(crossings)
-    face = delta_d_batch(family_states("ghz-sym", np.array([[0.4, 1.0, 0.0]])))[0]
+    face = pure_scores_batch(family_states("ghz-sym", np.array([[0.4, 1.0, 0.0]])))[0][0]
     star = crossings[0].location if n else np.nan
-    before = delta_d_batch(
+    before = pure_scores_batch(
         family_states("ghz-sym", np.array([[0.4, 1.0, a] for a in np.linspace(0.03, star - 0.01, 12)]))
-    )
-    after = delta_d_batch(
+    )[0]
+    after = pure_scores_batch(
         family_states("ghz-sym", np.array([[0.4, 1.0, a] for a in np.linspace(star + 0.01, np.pi / 2, 12)]))
-    )
+    )[0]
     ok = n == 1 and abs(face) <= 1e-12 and np.all(before < 0) and np.all(after > 0)
     _report(
         6, ok,
@@ -287,7 +286,7 @@ def test_criterion_11_fig5_violation_submerged():
     rows = np.stack([tt[mask], kk[mask], aa[mask]], axis=1)
     dd = np.empty(len(rows))
     for i in range(0, len(rows), 4096):
-        dd[i : i + 4096] = delta_d_batch(family_states("ghz-sym", rows[i : i + 4096]))
+        dd[i : i + 4096] = pure_scores_batch(family_states("ghz-sym", rows[i : i + 4096]))[0]
     ok = len(rows) > 0 and float(dd.min()) > 0.0
     _report(
         11, ok,

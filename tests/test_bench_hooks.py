@@ -10,7 +10,7 @@ import numpy as np
 
 from qmono import bell, measures, monogamy, scan
 from qmono.monogamy import delta_d
-from qmono.qcore import DensityMatrix, PureState
+from qmono.qcore import DensityMatrix, PureState, partial_trace
 from qmono.states import ghz_state
 from qmono.scan import grid_scan, path_trace, sample_experiment
 
@@ -104,3 +104,34 @@ def test_mixed_report_traces_each_marginal_once(monkeypatch):
     pairs = [table[frozenset(("B", o))] for o in "AC"]
     assert [p.labels for p in pairs] == [("B", "A"), ("B", "C")]
     assert len(stacks) == 1 and np.array_equal(stacks[0], np.stack([p.matrix for p in pairs]))
+
+
+def test_identity_reorder_shares_the_state(monkeypatch):
+    """``partial_trace`` of every label in order returns ``rho`` itself, so a mixed report at
+    nodal A builds 6 ``DensityMatrix`` (3 sites, 3 pairs) while still making 7 calls through
+    the names bench/spans.py counts: the A:BC search's reorder is the identity there."""
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+    m = g @ g.conj().T
+    rho = DensityMatrix(m / np.trace(m).real, (2, 2, 2))
+    assert partial_trace(rho, rho.labels) is rho
+    assert partial_trace(rho, set(rho.labels)) is rho
+    built, calls, post_init = [], [], DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for module in (monogamy, measures):
+        monkeypatch.setattr(module, "partial_trace",
+                            lambda rho, keep, _f=module.partial_trace: calls.append(keep) or _f(rho, keep))
+    delta_d(rho, "A", restarts=2)
+    assert (len(built), len(calls)) == (6, 7)
+
+
+def test_root_finders_kernel_calls(monkeypatch):
+    """``_delta_along`` scores through ``scan.pure_scores_batch``, one call per presample and
+    per bisection tree, on the Fig 2 line and a 3 x 3 surface."""
+    calls, real = [], scan.pure_scores_batch
+    monkeypatch.setattr(scan, "pure_scores_batch", lambda amps: calls.append(len(amps)) or real(amps))
+    scan.find_zero_crossings("ghz-sym", {"theta": 0.4, "kappa": 1.0}, "alpha", 1e-4, np.pi / 2, presample=100)
+    assert calls == [100, 63, 63, 63]
+    calls.clear()
+    scan.surface_zero(np.linspace(0.35, 0.7, 3), np.linspace(0.2, 2.8, 3))
+    assert calls == [576, 63, 63, 63, 63, 63, 9]

@@ -247,6 +247,35 @@ class TestBellCommand:
         assert len(data["settings_a"]) == 3
 
 
+_AMPS = [[1, 0]] + [[0, 0]] * 7
+MALFORMED_STATE_FILES = {
+    "no-dims": {"amplitudes": _AMPS},
+    "flat-amplitudes": {"dims": [2, 2, 2], "amplitudes": [1, 0, 0, 0, 0, 0, 0, 0]},
+    "string-entry": {"dims": [2, 2, 2], "amplitudes": [["a", 0]] + _AMPS[1:]},
+    "top-level-list": _AMPS,
+    "three-numbers": {"dims": [2, 2, 2], "amplitudes": [[1, 0, 0]] + _AMPS[1:]},
+    "negative-dims": {"dims": [-1, -1, 1], "matrix": [[[1, 0]]]},
+    "null-entry": {"dims": [2, 2, 2], "amplitudes": [[None, 0]] + _AMPS[1:]},
+    "nan-entry": {"dims": [2, 2, 2], "amplitudes": [[float("nan"), 0]] + _AMPS[1:]},
+    "ragged-matrix": {"dims": [2], "matrix": [[[0.5, 0]], [[0, 0], [0.5, 0]]]},
+    "dims-not-a-list": {"dims": 8, "amplitudes": _AMPS},
+    "no-state-key": {"dims": [2, 2, 2]},
+}
+
+
+@pytest.mark.parametrize("command", ["measures", "bell"])
+@pytest.mark.parametrize("name", sorted(MALFORMED_STATE_FILES))
+def test_malformed_state_file_numeric_exit(tmp_path, capsys, command, name):
+    """A state file that is not a state is exit 1 with one 'qmono:' line, never a traceback."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(MALFORMED_STATE_FILES[name]))
+    assert main([command, "--state", str(path), "--restarts", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("qmono: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 class TestRestartsUsageError:
     """--restarts below 1 leaves no optimizer start: a usage error, not a traceback."""
 

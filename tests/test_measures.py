@@ -19,6 +19,7 @@ from qmono.measures import (
     unitary_from_angles,
     _minimize_dim4_side,
 )
+from qmono.monogamy import delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
 from qmono.states import haar_random
 
@@ -394,6 +395,19 @@ class TestDim4MeasuredSide:
             val, _ = conditional_entropy_min(rho, BC_MEASURED, restarts=8, seed=0)
             lower = vn_entropy(rho) - vn_entropy(partial_trace(rho, ("B", "C")))
             assert lower - 1e-12 <= val <= vn_entropy(partial_trace(rho, ("A",))) + 1e-12
+
+    def test_restarts_below_one_rejected(self):
+        # the U(d) search needs a start; the closed-form, pure and Bloch paths never read restarts
+        rng = np.random.default_rng(49)
+        rho = wishart_state(rng, 8, (2, 2, 2), rank=4)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="restarts"):
+                delta_d(rho, "A", restarts=bad)
+            with pytest.raises(ValueError, match="restarts"):
+                _minimize_dim4_side(rho.matrix, 2, restarts=bad, seed=0)
+            for state in (wishart_state(rng, 8, (2, 2, 2), rank=2), PureState(haar_pure(rng, 8).amplitudes, (2, 2, 2))):
+                assert np.isfinite(delta_d(state, "A", restarts=bad).delta_D)
+            assert np.isfinite(conditional_entropy_min(rho, Bipartition(("A", "B"), ("C",)), restarts=bad)[0])
 
     def test_restart_monotonicity_4_16_64(self):
         rng = np.random.default_rng(47)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from qmono import monogamy
 from qmono.measures import conditional_entropy_min, discord
-from qmono.monogamy import MonogamyReport, cond_entropy_bounds, delta_c, delta_d
+from qmono.monogamy import cond_entropy_bounds, delta_c, delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor, vn_entropy
 from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
 
@@ -64,7 +64,7 @@ class TestDeltaD:
             rep = delta_d(psi, "A")
             assert abs(rep.delta_D - (rep.D_A_BC - rep.D_AB - rep.D_AC)) <= 1e-9
             assert abs(rep.delta_C - (rep.C_A_BC**2 - rep.C_AB**2 - rep.C_AC**2)) <= 1e-9
-            lo, hi = rep.bounds
+            lo, hi = rep.bound_lower, rep.bound_upper
             total = rep.S_cond_AB + rep.S_cond_AC
             assert lo <= total <= hi + 1e-6
 
@@ -89,7 +89,7 @@ class TestDeltaD:
         rep = delta_d(rho, "A", restarts=8)
         assert rep.heuristic
         assert rep.prop2_residual is None
-        assert rep.bounds is None
+        assert rep.bound_lower is None and rep.bound_upper is None
         assert rep.C_A_BC is None
         assert rep.D_A_BC >= -1e-9
         assert rep.D_A_BC_kernel == "unitary-search"
@@ -140,8 +140,13 @@ class TestDeltaD:
         assert data["nodal"] == "A"
         assert_allclose(data["delta_D"], 1.0, atol=1e-6)
         assert data["D_A_BC_kernel"] == "pure" and data["D_A_BC_gap"] is None
-        assert len(MonogamyReport.CSV_COLUMNS) == 20
-        assert list(data) == list(MonogamyReport.CSV_COLUMNS)
+        assert list(data) == [
+            "nodal", "delta_D", "delta_C", "D_A_BC", "D_A_BC_kernel", "D_A_BC_gap", "D_AB", "D_AC",
+            "C_AB", "C_AC", "C_A_BC", "S_A", "S_cond_AB", "S_cond_AC",
+            "prop1_satisfied", "prop1_slack", "prop2_residual",
+            "bound_lower", "bound_upper", "heuristic",
+        ]
+        assert data["bound_lower"] == 0.0 and data["bound_upper"] == 2.0
 
 
 class TestDiscordIdentity:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -90,6 +92,17 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="negative"):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
+    def test_party_rule_shared_with_pure_states(self):
+        # one rule for both kinds: a (1, 1) matrix with dims (-1, -1) no longer constructs
+        for make in (lambda *p: PureState([1.0], *p), lambda *p: DensityMatrix(np.eye(1), *p)):
+            with pytest.raises(ValueError, match="positive"):
+                make((-1, -1))
+            with pytest.raises(ValueError, match="distinct"):
+                make((1, 1), ("A", "A"))
+            assert make((1, 1)).labels == ("A", "B") and make((1, 1)).index_of("B") == 1
+            with pytest.raises(ValueError, match="unknown party label 'Q'"):
+                make((1, 1)).index_of("Q")
+
     def test_purity(self):
         assert ghz().density().is_pure()
         half = DensityMatrix(np.eye(2) / 2, (2,))
@@ -127,6 +140,10 @@ class TestTensor:
     def test_plus_zero(self):
         psi = tensor(PLUS, PureState([1, 0], (2,), ("B",)))
         assert_allclose(psi.amplitudes, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0], atol=1e-12)
+
+    def test_colliding_labels_become_defaults(self):
+        assert tensor(KET0, PLUS).labels == ("A", "B")
+        assert tensor(KET0.density(), PLUS.density()).labels == ("A", "B")
 
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValueError):
@@ -325,3 +342,20 @@ class TestStateFiles:
     def test_bad_dict_rejected(self):
         with pytest.raises(ValueError):
             state_from_dict({"dims": [2]})
+
+    def test_round_trip_keeps_every_bit(self):
+        # signed zeros included: the pairs are read as one float array viewed as complex, as
+        # complex(re, im) reads each pair (re + 1j * im would turn a -0.0 real part into +0.0)
+        pure = {"dims": [2, 2], "labels": ["A", "B"],
+                "amplitudes": [[0.6, -0.0], [-0.0, -0.8], [0.0, -0.0], [0.0, 0.0]]}
+        rows = [[[0.5, 0.0], [-0.0, -0.0]], [[-0.0, 0.0], [0.5, -0.0]]]
+        mixed = {"dims": [2], "labels": ["A"], "matrix": rows}
+        for data in (pure, mixed):
+            field = "amplitudes" if "amplitudes" in data else "matrix"
+            state = state_from_dict(data)
+            pairs = np.array([complex(re, im) for re, im in np.reshape(data[field], (-1, 2))])
+            want = type(state)(pairs.reshape(getattr(state, field).shape), data["dims"])
+            assert getattr(state, field).tobytes() == getattr(want, field).tobytes()
+            again = state_from_dict(state_to_dict(state))
+            assert getattr(again, field).tobytes() == getattr(state, field).tobytes()
+            assert json.dumps(state_to_dict(state)) == json.dumps(data)

@@ -33,7 +33,7 @@ CROSSING_LINES = [
 
 
 def _ref_delta(family, rows):
-    return scan.delta_d_batch(scan.family_states(family, rows))
+    return scan.pure_scores_batch(scan.family_states(family, rows))[0]
 
 
 def _ref_bisect(eval_rows, lo, hi, f_lo, f_hi, xtol, rounds_seen, max_rounds=64):

@@ -21,7 +21,6 @@ from qmono.scan import (
     ScanTable,
     SurfaceTable,
     delta_c_batch,
-    delta_d_batch,
     family_states,
     find_zero_crossings,
     ggm_batch,
@@ -50,7 +49,7 @@ class TestBatchKernels:
     def test_delta_d_matches_scalar(self):
         # against S_A - S(A|B) - S(A|C) by the grid-and-zoom search on the partial traces
         amps = haar_random_amplitudes(6, 19)
-        batch = delta_d_batch(amps)
+        batch = pure_scores_batch(amps)[0]
         for i in range(6):
             rho = PureState(amps[i], (2, 2, 2)).density()
             search = vn_entropy(partial_trace(rho, "A")) - sum(
@@ -311,12 +310,12 @@ class TestZeroCrossings:
         assert c.width <= 1e-6
         assert c.delta_lo < 0 < c.delta_hi
         # negative before, positive after, all the way to the ends
-        before = delta_d_batch(family_states(
+        before = pure_scores_batch(family_states(
             "ghz-sym", np.array([[0.4, 1.0, a] for a in np.linspace(0.05, c.location - 0.01, 8)])
-        ))
-        after = delta_d_batch(family_states(
+        ))[0]
+        after = pure_scores_batch(family_states(
             "ghz-sym", np.array([[0.4, 1.0, a] for a in np.linspace(c.location + 0.01, np.pi / 2, 8)])
-        ))
+        ))[0]
         assert np.all(before < 0)
         assert np.all(after > 0)
 
@@ -355,7 +354,7 @@ class TestSurfaceZero:
         # negative just below the surface, positive just above
         for step in (-0.05, 0.05):
             rows = np.stack([pts.theta, pts.kappa, pts.alpha_star + step], axis=1)
-            assert np.all(np.sign(delta_d_batch(family_states("ghz-sym", rows))) == np.sign(step))
+            assert np.all(np.sign(pure_scores_batch(family_states("ghz-sym", rows))[0]) == np.sign(step))
         assert np.all(pts.in_domain)
         assert np.all(pts.closed_form_residual <= 1e-4)
 
