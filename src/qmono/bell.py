@@ -35,7 +35,7 @@ from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, minimize, row_nor
 from .qcore import DensityMatrix, PureState
 
 _MAX_PARTIES = 6
-_UNIT_TOL = 1e-10
+_UNIT_TOL = 1e-10  # the test suite's directions are unit to 2.2e-16; admits 11-digit input
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # The see-saw converges linearly (a start can still gain 1e-6 per sweep after 300
 # sweeps), so it only carries each start into its basin: on 150 Haar and Ginibre
@@ -217,24 +217,20 @@ def mk_optimize(state, restarts: int = 100, seed: int = 0,
     return abs(float(np.trace(_mk_operator_from_angles(x) @ rho).real)), MKSettings.from_angles(x)
 
 
-def mk_symmetric_closed_form(theta, alpha, kappa, nu=0.0):
-    """Bell-operator average for the symmetric two-branch family.
+def mk_symmetric_closed_form(theta, alpha, kappa):
+    """Bell-operator average for the symmetric two-branch family,
 
-    4 sin^3(alpha) sin(theta) [cos(nu) (cos(theta) cos(kappa)
-        + cos^3(alpha) sin(theta)) + cos(theta) sin(nu) sin(kappa)].
+    4 sin^3(alpha) sin(theta) (cos(theta) cos(kappa) + cos^3(alpha) sin(theta)),
 
-    nu parametrizes the (unspecified) measurement family; reproductions of
-    the violation region fix nu = 0.  Arguments broadcast as arrays; scalar
-    arguments give a float.
+    the paper's measurement family at nu = 0, where its violation region lies;
+    ``mk_optimize`` reaches at least this.  Arguments broadcast as arrays;
+    scalar arguments give a float.
     """
-    theta, alpha, kappa, nu = (np.asarray(x, dtype=float) for x in (theta, alpha, kappa, nu))
+    theta, alpha, kappa = (np.asarray(x, dtype=float) for x in (theta, alpha, kappa))
     value = (
         4.0
         * np.sin(alpha) ** 3
         * np.sin(theta)
-        * (
-            np.cos(nu) * (np.cos(theta) * np.cos(kappa) + np.cos(alpha) ** 3 * np.sin(theta))
-            + np.cos(theta) * np.sin(nu) * np.sin(kappa)
-        )
+        * (np.cos(theta) * np.cos(kappa) + np.cos(alpha) ** 3 * np.sin(theta))
     )
     return float(value) if value.ndim == 0 else value

@@ -189,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measures", help="monogamy report for one state file")
     p.add_argument("--state", required=True, help="JSON state file")
-    p.add_argument("--nodal", default="A", help="nodal observer label")
+    p.add_argument("--nodal", default="A", help="nodal observer label; a mixed state's other two "
+                   "parties are measured together, in dimension 4 at most, so a mixed [3,2,2] "
+                   "state has a report at A only")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
     common(p, restarts=64, restarts_help="random starts of the U(d) search on a measured qutrit or "
            "qubit pair; pure three-qubit and rank <= 2 three-qubit inputs use closed forms")

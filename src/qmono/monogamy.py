@@ -30,7 +30,7 @@ from .measures import discord  # noqa: F401  (bench/spans.py wraps this name)
 from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
 
 ZERO_BAND_DEFAULT = 1e-4  # |delta_D| below this counts as "vanishing score"
-_PROP1_TOL = 1e-6
+_PROP1_TOL = 1e-6  # a pure slack is -delta_D: <= 1.99e-7 at surface_zero's xtol (scan.PROP4_TOL)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,9 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
     Each S(A|X) comes from the source the module docstring names; a pure
     three-qubit report keeps the kernel's delta_D bit for bit.  ``restarts``
     and ``seed`` go to the searches.  A mixed input's A:BC search gives
-    ``D_A_BC_kernel`` and ``D_A_BC_gap`` and flags the report heuristic.
+    ``D_A_BC_kernel`` and ``D_A_BC_gap`` and flags the report heuristic.  That search
+    measures the two other parties together, in dimension 2, 3 or 4 only: a mixed
+    [3, 2, 2] state has a report at nodal A, and ValueError at B or C.
     """
     _require_three_parties(state)
     rho = _as_density(state)

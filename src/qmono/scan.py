@@ -11,8 +11,9 @@ from the rank-2 marginals' amplitudes.  The grid-and-zoom search
 S(A|B) over measurements instead; it is the tests' oracle and computes no
 output here.  ``grid_scan`` (and ``path_trace``, a one-axis grid) and
 ``sample_experiment`` score their states in one chunked pass into the
-columns of a ``ScanTable``, and ``surface_zero`` returns a ``SurfaceTable``;
-``write_csv`` formats both.  All randomness is seed-in, state-out; grid
+columns of a ``ScanTable``; ``find_zero_crossings`` and ``surface_zero``
+(a ``SurfaceTable``) find zeros by one ``_bracket_and_bisect``, and
+``write_csv`` formats both tables.  All randomness is seed-in, state-out; grid
 orderings are row-major over the axes as given, and outputs are
 bit-identical across runs with the same inputs.
 """
@@ -43,8 +44,7 @@ class ScanTable:
     """Columns of a scan, one row per state, in the order the states were given.
 
     ``params`` is (K, k); the other columns have length K.  ``mk`` is None when
-    MK was skipped and ``sym_residual`` (S_A / 2 - S(A|B), zero on the
-    symmetric family's delta_D = 0 surface) is set for ghz-sym only.
+    MK was skipped.
     """
 
     family: str
@@ -53,7 +53,6 @@ class ScanTable:
     delta_c: np.ndarray
     ggm: np.ndarray
     mk: np.ndarray | None
-    sym_residual: np.ndarray | None
     zero_band: np.ndarray
 
     def __len__(self) -> int:
@@ -79,7 +78,7 @@ class ZeroCrossing:
 class SurfaceTable:
     """Columns of a delta_D = 0 surface, one row per cell with an interior zero.
 
-    ``closed_form_residual`` is NaN where ``in_domain`` is False.
+    ``in_domain`` is true on every row: the closed form holds on the whole family.
     """
 
     theta: np.ndarray
@@ -148,14 +147,12 @@ def delta_c_batch(amps: np.ndarray) -> np.ndarray:
 def _score(family: str, params: np.ndarray, amps: np.ndarray, epsilon: float) -> ScanTable:
     """The ScanTable of (K, 8) amplitudes without MK, ``_CHUNK`` states per kernel call."""
     n = len(amps)
-    dd, dc, gg, sym = (np.empty(n) for _ in range(4))
+    dd, dc, gg = (np.empty(n) for _ in range(3))
     for i in range(0, n, _CHUNK):
         sl = slice(i, i + _CHUNK)
-        dd[sl], dc[sl], s_a, cond_ab = pure_scores_batch(amps[sl])[:4]
-        sym[sl] = 0.5 * s_a - cond_ab
+        dd[sl], dc[sl] = pure_scores_batch(amps[sl])[:2]
         gg[sl] = ggm_batch(amps[sl])
-    sym = sym if family == "ghz-sym" else None
-    return ScanTable(family, params, dd, dc, gg, None, sym, np.abs(dd) < epsilon)
+    return ScanTable(family, params, dd, dc, gg, None, np.abs(dd) < epsilon)
 
 
 def grid_scan(
@@ -169,7 +166,7 @@ def grid_scan(
     """One row per grid point, row-major over the axes as listed.
 
     ``axes`` is a sequence of (name, values) pairs covering the family's
-    parameters.  ``mk_mode`` is "closed" (symmetric closed form, nu = 0),
+    parameters.  ``mk_mode`` is "closed" (``mk_symmetric_closed_form``),
     "optimize" (``mk_optimize`` per point, warm-started from the previous
     point's settings) or "skip" (default: "closed" for ghz-sym, else "skip").
     """
@@ -261,20 +258,30 @@ def _sign_changes(vals: np.ndarray, noise_floor: float) -> np.ndarray:
     return ok
 
 
-def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float):
-    """Bisect delta_D along column ``axis_idx`` of each row of ``base`` on [lo, hi].
-
-    One kernel call evaluates the next ``depth`` levels of every bracket's
-    midpoint tree (2^depth - 1 points, each (a + b) / 2 of its node's
-    interval); ``depth`` is the most that keeps a call within ``_TREE_STATES``
-    states, and at least 1.  The walk down keeps [lo, mid] where
-    f_lo * f_mid <= 0, else [mid, hi], all brackets in lockstep while
-    max(hi - lo) > xtol, for at most ``_MAX_ROUNDS`` levels: every mid,
-    f-value and bracket is scalar bisection's.  It stops early once no
-    midpoint lies strictly inside its bracket, since later rounds would
-    move none.
+def _bracket_and_bisect(family, base, axis_idx, xs, noise_floor, xtol: float, first_only: bool):
+    """The bracketed rows of ``base`` and their final ``lo, hi, f_lo, f_hi`` along column
+    ``axis_idx``: one kernel call presamples every row at ``xs``, and each sign change
+    ``_sign_changes`` keeps (a row's first only, with ``first_only``) is a bracket; with
+    none, all are empty after that call.  Then one kernel call evaluates the next
+    ``depth`` levels of every bracket's midpoint tree (2^depth - 1 points, each
+    (a + b) / 2 of its node's interval); ``depth`` is the most that keeps a call within
+    ``_TREE_STATES`` states, and at least 1.  The walk down keeps [lo, mid] where
+    f_lo * f_mid <= 0, else [mid, hi], all brackets in lockstep while max(hi - lo) >
+    xtol, for at most ``_MAX_ROUNDS`` levels: every mid, f-value and bracket is scalar
+    bisection's.  It stops early once no midpoint lies strictly inside its bracket,
+    since later rounds would move none.
     """
-    idx = np.arange(lo.size)
+    vals = _delta_along(family, base, axis_idx, np.broadcast_to(xs, (len(base), xs.size)))
+    keep = _sign_changes(vals, noise_floor)
+    if first_only:
+        rows = np.nonzero(keep.any(axis=1))[0]
+        cols = np.argmax(keep[rows], axis=1)
+    else:
+        rows, cols = np.nonzero(keep)
+    lo, hi, f_lo, f_hi = xs[cols], xs[cols + 1], vals[rows, cols], vals[rows, cols + 1]
+    if rows.size == 0:
+        return rows, lo, hi, f_lo, f_hi
+    base, idx = base[rows], np.arange(rows.size)
     depth = max(1, (_TREE_STATES // lo.size + 1).bit_length() - 1)  # n (2^depth - 1) <= budget
     rounds = 0
     while np.max(hi - lo) > xtol and rounds < _MAX_ROUNDS:
@@ -297,7 +304,7 @@ def _lockstep_bisect(family, base, axis_idx, lo, hi, f_lo, f_hi, xtol: float):
         lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
         node = 2 * node + ~left
         rounds += 1
-    return lo, hi, f_lo, f_hi
+    return rows, lo, hi, f_lo, f_hi
 
 
 def find_zero_crossings(
@@ -312,13 +319,13 @@ def find_zero_crossings(
 ) -> list[ZeroCrossing]:
     """Sign changes of delta_D along one axis, refined by bisection.
 
-    One kernel call evaluates linspace(lo, hi, presample), which brackets
-    every strict sign change whose endpoints both clear ``noise_floor``; this
-    keeps rounding around the degenerate faces (where delta_D is genuinely
-    zero) from minting crossings, and it excludes face contacts from the
-    interior count.  ``_lockstep_bisect`` refines all brackets at once, a
-    few levels per call, to the results of scalar bisection.  An empty list
-    means no crossing was found, which is not an error.
+    ``_bracket_and_bisect`` presamples linspace(lo, hi, presample) and
+    brackets every strict sign change whose endpoints both clear
+    ``noise_floor``; this keeps rounding around the degenerate faces (where
+    delta_D is genuinely zero) from minting crossings, and it excludes face
+    contacts from the interior count.  It refines them, a few levels per
+    call, to the results of scalar bisection.  An empty list means no
+    crossing was found, which is not an error.
     """
     names = FAMILY_PARAMS[family]
     if axis not in names:
@@ -331,14 +338,7 @@ def find_zero_crossings(
     axis_idx = names.index(axis)
 
     xs = np.linspace(lo, hi, presample)
-    vals = _delta_along(family, base, axis_idx, xs[None])[0]
-    idx = np.nonzero(_sign_changes(vals[None], noise_floor)[0])[0]
-    if idx.size == 0:
-        return []
-    b_lo, b_hi, f_lo, f_hi = _lockstep_bisect(
-        family, base.repeat(idx.size, axis=0), axis_idx,
-        xs[idx], xs[idx + 1], vals[idx], vals[idx + 1], xtol,
-    )
+    _, b_lo, b_hi, f_lo, f_hi = _bracket_and_bisect(family, base, axis_idx, xs, noise_floor, xtol, False)
     fixed_t = tuple((n, float(fixed[n])) for n in names if n != axis)
     return [
         ZeroCrossing(
@@ -350,7 +350,7 @@ def find_zero_crossings(
             delta_lo=float(f_lo[i]),
             delta_hi=float(f_hi[i]),
         )
-        for i in range(idx.size)
+        for i in range(b_lo.size)
     ]
 
 
@@ -365,10 +365,10 @@ def surface_zero(
 ) -> SurfaceTable:
     """Interior delta_D = 0 point along alpha for each (theta, kappa), as table rows.
 
-    One kernel call evaluates every cell at linspace(alpha_lo, alpha_hi,
-    presample).  Each cell's first sign change whose ends clear ``noise_floor``
-    is refined by ``_lockstep_bisect``, all cells at once, a few levels per
-    call (one from 34 cells on); alpha* is the final midpoint, as in scalar
+    ``_bracket_and_bisect`` presamples every cell at linspace(alpha_lo,
+    alpha_hi, presample) in one kernel call and refines each cell's first sign
+    change whose ends clear ``noise_floor``, all cells at once, a few levels
+    per call (one from 34 cells on); alpha* is the final midpoint, as in scalar
     bisection, and one more call gives delta_D there.  Also evaluates the
     closed-form surface condition 2 H(h) = H(e1) at each point, h from the
     closed-form marginal concurrence and H(e1) = S_A from the same kernel
@@ -379,25 +379,17 @@ def surface_zero(
     _check_root_inputs(alpha_lo, alpha_hi, presample, xtol, noise_floor, cells)
 
     grid = np.linspace(alpha_lo, alpha_hi, presample)
-    vals = _delta_along("ghz-sym", cells, 2, np.broadcast_to(grid, (len(cells), presample)))
-    sign_change = _sign_changes(vals, noise_floor)
-    sel = np.nonzero(sign_change.any(axis=1))[0]
+    sel, b_lo, b_hi, _, _ = _bracket_and_bisect("ghz-sym", cells, 2, grid, noise_floor, xtol, True)
     if sel.size == 0:
         return SurfaceTable(*[np.empty(0)] * 6, np.empty(0, dtype=bool))
-    first = np.argmax(sign_change[sel], axis=1)
-    base = cells[sel]
-    b_lo, b_hi, _, _ = _lockstep_bisect(
-        "ghz-sym", base, 2, grid[first], grid[first + 1],
-        vals[sel, first], vals[sel, first + 1], xtol,
-    )
     astar = (b_lo + b_hi) / 2
-    tt_s, kk_s = base[:, 0], base[:, 1]
+    tt_s, kk_s = cells[sel, 0], cells[sel, 1]
     amps = family_states("ghz-sym", np.stack([tt_s, kk_s, astar], axis=1))
     dd, _, e1 = pure_scores_batch(amps)[:3]  # e1: S_A = H(e_1)
-    conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)  # NaN out of domain
+    conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)
     h = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - conc * conc))) / 2.0
     residual = np.abs(2.0 * binary_entropy(h) - e1)
-    return SurfaceTable(tt_s, kk_s, astar, dd, ggm_batch(amps), residual, ~np.isnan(conc))
+    return SurfaceTable(tt_s, kk_s, astar, dd, ggm_batch(amps), residual, np.ones(sel.size, dtype=bool))
 
 
 def sample_experiment(

@@ -1,4 +1,4 @@
-"""Three-qubit state families, interpolation paths and Haar sampling."""
+"""Three-qubit state families, all built by ``family_states``, interpolation paths and Haar sampling."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 from .qcore import PureState
 
 _LABELS = ("A", "B", "C")
+_RANGE_SLACK = 1e-12  # a range end computed in floats misses it by ulps: 25 * (pi / 100) > pi / 4
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class GHZClassParams:
     degenerate: bool = False
 
     def __post_init__(self):
-        eps = 1e-12
+        eps = _RANGE_SLACK
         if not (-eps <= self.theta <= np.pi / 4 + eps):
             raise ValueError(f"theta={self.theta} outside [0, pi/4]")
         if not (-eps <= self.kappa <= 2 * np.pi + eps):
@@ -64,36 +65,28 @@ def ghz_class(p: GHZClassParams) -> PureState:
     return _family_state("ghz", astuple(p)[:5])
 
 
-def symmetric_ghz(theta: float, kappa: float, alpha: float, degenerate: bool = True) -> PureState:
-    """ghz_class with equal alphas; permutation symmetric by construction."""
-    return ghz_class(GHZClassParams(theta, kappa, alpha, alpha, alpha, degenerate=degenerate))
+def symmetric_ghz(theta: float, kappa: float, alpha: float) -> PureState:
+    """ghz_class with equal alphas, faces admitted; permutation symmetric by construction."""
+    return ghz_class(GHZClassParams(theta, kappa, alpha, alpha, alpha, degenerate=True))
 
 
 def symmetric_concurrence_closed_form(theta, kappa, alpha):
-    """Concurrence of a two-party marginal of the symmetric two-branch state.
+    """Concurrence of a two-party marginal of the symmetric two-branch state,
 
-    C = sqrt(l1) - sqrt(l2) with l1 = (a + b) c, l2 = (a - b) c,
-    a = 3 + cos(2 alpha), b = 4 cos(alpha) and
-    c = sin^4(alpha) sin^2(2 theta) / (8 (1 + cos^3(alpha) cos(kappa) sin(2 theta))^2).
+    C = cos(alpha) sin^2(alpha) |sin(2 theta)| / |1 + cos^3(alpha) cos(kappa) sin(2 theta)|,
 
-    With this b the two lambdas are 2 (1 +- cos alpha)^2 c, so l2 >= 0 on the
-    whole parameter range; should roundoff ever push it below -1e-15 the
-    point is reported rather than clamped silently.  Arguments broadcast as
-    arrays, and such points read NaN; scalar arguments give a float and raise
-    ValueError there.
+    the denominator being the unnormalized state's squared norm.  Wootters'
+    lambdas are 2 (1 +- cos(alpha))^2 c with c = sin^4(alpha) sin^2(2 theta) /
+    (8 norm^4), so sqrt(lambda_1) - sqrt(lambda_2) collapses to this product:
+    no cancellation, and defined on the whole family, faces included.
+    Arguments broadcast as arrays; scalar arguments give a float.
     """
     theta, kappa, alpha = (np.asarray(x, dtype=float) for x in (theta, kappa, alpha))
-    a = 3.0 + np.cos(2.0 * alpha)
-    b = 4.0 * np.cos(alpha)
+    sin_2t = np.sin(2.0 * theta)
     # float_power rounds like the scalar ``**`` (the array ``**`` may not), so
     # array and scalar calls agree bit for bit
-    den = 1.0 + np.float_power(np.cos(alpha), 3) * np.cos(kappa) * np.sin(2.0 * theta)
-    c = np.float_power(np.sin(alpha), 4) * np.float_power(np.sin(2.0 * theta), 2) / (8.0 * den * den)
-    l1 = (a + b) * c
-    l2 = (a - b) * c
-    conc = np.where(l2 >= -1e-15, np.sqrt(l1) - np.sqrt(np.maximum(l2, 0.0)), np.nan)
-    if conc.ndim == 0 and np.isnan(conc):
-        raise ValueError(f"closed form out of domain: lambda_2 = {l2} < 0")
+    norm_sq = 1.0 + np.float_power(np.cos(alpha), 3) * np.cos(kappa) * sin_2t
+    conc = np.cos(alpha) * np.float_power(np.sin(alpha), 2) * np.abs(sin_2t) / np.abs(norm_sq)
     return float(conc) if conc.ndim == 0 else conc
 
 
@@ -121,14 +114,14 @@ PATH_W_ENDPOINT = WClassParams(3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
 
 def path_ghz(mu: float) -> PureState:
     """cos(mu) |endpoint> + sin(mu) |GHZ| for mu in [0, pi/2]."""
-    if not (0.0 <= mu <= np.pi / 2 + 1e-12):
+    if not (0.0 <= mu <= np.pi / 2 + _RANGE_SLACK):
         raise ValueError(f"mu={mu} outside [0, pi/2]")
     return _family_state("path-ghz", (mu,))
 
 
 def path_w_ghz(tau: float) -> PureState:
     """cos(tau) |W-class endpoint> + sin(tau) |GHZ| for tau in [0, pi/2]."""
-    if not (0.0 <= tau <= np.pi / 2 + 1e-12):
+    if not (0.0 <= tau <= np.pi / 2 + _RANGE_SLACK):
         raise ValueError(f"tau={tau} outside [0, pi/2]")
     return _family_state("path-w-ghz", (tau,))
 
@@ -187,8 +180,9 @@ def family_states(family: str, rows) -> np.ndarray:
         mu = rows[:, 0]
         amps = np.cos(mu)[:, None] * end[None, :] + np.sin(mu)[:, None] * ghz[None, :]
     norms = np.linalg.norm(amps, axis=1)
-    if np.any(norms < 1e-12):
-        bad = rows[norms < 1e-12][0]
+    zero = norms < 1e-12
+    if np.any(zero):
+        bad = rows[zero][0]
         raise ValueError(f"family {family!r} parameters {tuple(bad)} give the zero vector")
     return amps / norms[:, None]
 

@@ -127,7 +127,8 @@ def test_identity_reorder_shares_the_state(monkeypatch):
 
 def test_root_finders_kernel_calls(monkeypatch):
     """``_delta_along`` scores through ``scan.pure_scores_batch``, one call per presample and
-    per bisection tree, on the Fig 2 line and a 3 x 3 surface."""
+    per bisection tree, on the Fig 2 line and a 3 x 3 surface; a surface without a
+    crossing costs its presample call only."""
     calls, real = [], scan.pure_scores_batch
     monkeypatch.setattr(scan, "pure_scores_batch", lambda amps: calls.append(len(amps)) or real(amps))
     scan.find_zero_crossings("ghz-sym", {"theta": 0.4, "kappa": 1.0}, "alpha", 1e-4, np.pi / 2, presample=100)
@@ -135,3 +136,6 @@ def test_root_finders_kernel_calls(monkeypatch):
     calls.clear()
     scan.surface_zero(np.linspace(0.35, 0.7, 3), np.linspace(0.2, 2.8, 3))
     assert calls == [576, 63, 63, 63, 63, 63, 9]
+    calls.clear()
+    assert len(scan.surface_zero([0.3], [0.0], alpha_lo=1.4, alpha_hi=1.5)) == 0
+    assert calls == [64]

@@ -151,6 +151,19 @@ class TestMixedMeasures:
         data = json.loads(capsys.readouterr().out)
         assert data["D_A_BC_kernel"] == "unitary-search" and data["D_A_BC_gap"] >= 0.0
 
+    @pytest.mark.parametrize("nodal", ["B", "C"])
+    def test_qutrit_pair_side_numeric_exit(self, tmp_path, capsys, nodal):
+        """A mixed [3, 2, 2] state has a report at nodal A only: at B or C, D(A:BC) measures
+        a qutrit-qubit pair of dimension 6, which no search takes."""
+        rng = np.random.default_rng(63)
+        g = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
+        path = tmp_path / "mixed322.json"
+        save_state(DensityMatrix(g @ g.conj().T / np.sum(np.abs(g) ** 2), (3, 2, 2)), path)
+        assert main(["measures", "--state", str(path), "--nodal", nodal, "--restarts", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == "qmono: unsupported measured dimension 6 (need 2, 3 or 4)\n"
+
 
 class TestScanCommand:
     def test_small_grid(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qmono import monogamy
-from qmono.measures import conditional_entropy_min, discord
+from qmono.measures import conditional_entropy_min, discord, pure_scores_batch
 from qmono.monogamy import cond_entropy_bounds, delta_c, delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor, vn_entropy
 from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
@@ -123,6 +123,12 @@ class TestDeltaD:
         res = discord(rho, Bipartition(("A",), ("B", "C")), restarts=2)
         assert res.optimizer_trace.kernel == "pure"
         assert not delta_d(rho, "A", restarts=2).heuristic
+
+    def test_pure_report_is_the_batch_kernel_bit_for_bit(self):
+        # PureState keeps a normalized vector's bits, so a state and its batch row agree exactly
+        amps = haar_random_amplitudes(300, 0)
+        batch = pure_scores_batch(amps)[0]
+        assert [delta_d(PureState(a, (2, 2, 2)), "A").delta_D for a in amps] == batch.tolist()
 
     def test_unknown_keyword_rejected(self):
         # pure and mixed inputs both take only restarts and seed, as keywords

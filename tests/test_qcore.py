@@ -19,6 +19,7 @@ from qmono.qcore import (
     vn_entropy,
     xlog2x,
 )
+from qmono.states import haar_random_amplitudes
 
 from oracles import cut_of
 
@@ -75,6 +76,19 @@ class TestPureState:
 
     def test_default_labels(self):
         assert ghz().labels == ("A", "B", "C")
+
+    def test_normalized_vector_keeps_its_bits(self, tmp_path):
+        # its norm misses 1 by rounding only, and dividing by that norm would move the last bits
+        path = tmp_path / "psi.json"
+        for amps in haar_random_amplitudes(1000, 0):
+            psi = PureState(amps, (2, 2, 2))
+            save_state(psi, path)
+            assert psi.amplitudes.tobytes() == amps.tobytes() == load_state(path).amplitudes.tobytes()
+        amps = np.zeros(8, dtype=complex)
+        amps[0], amps[1] = complex(-0.0, 0.0), 1.0
+        psi = PureState(amps, (2, 2, 2))
+        amps[1] = 0.0  # the state holds a copy
+        assert np.signbit(psi.amplitudes[0].real) and psi.amplitudes[1] == 1.0
 
 
 class TestDensityMatrix:

@@ -295,9 +295,14 @@ class TestGridScan:
             grid_scan("ghz-sym", [("theta", []), ("kappa", [0.0]), ("alpha", [0.5])])
 
     def test_sym_residual_populated(self):
+        # Prop 3's residual S_A / 2 - S(A|B) is delta_D / 2 on the permutation-symmetric family
         table = grid_scan("ghz-sym", GHZ_PARAMS)
         # GHZ point: S_A = 1, S(A|B) = 0, residual +1/2
-        assert_allclose(table.sym_residual[0], 0.5, atol=1e-6)
+        assert_allclose(table.delta_d[0] / 2, 0.5, atol=1e-6)
+        axes = [np.linspace(0.0, np.pi / 4, 20), np.linspace(0.0, 2 * np.pi, 20), np.linspace(0.0, np.pi / 2, 20)]
+        rows = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)  # faces included
+        cond_ab, cond_ac = pure_scores_batch(family_states("ghz-sym", rows))[3:5]
+        assert np.max(np.abs(cond_ab - cond_ac)) <= 1e-15
 
 
 class TestZeroCrossings:
@@ -356,6 +361,12 @@ class TestSurfaceZero:
             rows = np.stack([pts.theta, pts.kappa, pts.alpha_star + step], axis=1)
             assert np.all(np.sign(pure_scores_batch(family_states("ghz-sym", rows))[0]) == np.sign(step))
         assert np.all(pts.in_domain)
+        assert np.all(pts.closed_form_residual <= 1e-4)
+
+    def test_in_domain_with_the_faces(self):
+        # theta = 0 and alpha = 0 rows presampled; kappa = pi (a zero vector at alpha = 0) left out
+        pts = surface_zero(np.linspace(0.0, np.pi / 4, 5), np.linspace(0.0, 2 * np.pi, 6), alpha_lo=0.0)
+        assert len(pts) and np.all(pts.in_domain)
         assert np.all(pts.closed_form_residual <= 1e-4)
 
 
@@ -489,7 +500,7 @@ class TestCsv:
         params = np.array([[0.1, -2.5e-7, 3.0], [np.nan, 1.0, 1e-300]])
         scan_table = ScanTable(
             "ghz-sym", params, np.array([1e-5, np.nan]), np.array([-0.0, 0.25]),
-            np.array([0.5, 1 / 3]), None, None, np.array([True, False]),
+            np.array([0.5, 1 / 3]), None, np.array([True, False]),
         )
         surface = SurfaceTable(
             np.array([0.3, 0.4]), np.array([1.0, 2.0]), np.array([0.7, 1.2]), np.array([1e-9, -3e-8]),

@@ -84,6 +84,36 @@ class TestClosedFormConcurrence:
         scalar = [symmetric_concurrence_closed_form(*x) for x in zip(th, ka, al)]
         assert np.array_equal(symmetric_concurrence_closed_form(th, ka, al), scalar)
 
+    def test_against_40_digit_wootters(self):
+        # near alpha = 0 and pi / 2 sqrt(lambda_1) - sqrt(lambda_2) cancels; the product does not
+        mpmath = pytest.importorskip("mpmath")
+        theta, kappa = 0.4, 1.0
+        for alpha in (1e-3, np.pi / 2 - 1e-6):
+            with mpmath.workdps(40):
+                t, k, a = (mpmath.mpf(x) for x in (theta, kappa, alpha))
+                phi = [mpmath.cos(a), mpmath.sin(a)]
+                psi = [(mpmath.cos(t) if i == 0 else 0) + mpmath.expj(k) * mpmath.sin(t)
+                       * phi[i >> 2] * phi[(i >> 1) & 1] * phi[i & 1] for i in range(8)]
+                rho = mpmath.matrix(4, 4)  # rho_AB: trace out the last qubit
+                for i in range(4):
+                    for j in range(4):
+                        rho[i, j] = sum(psi[2 * i + c] * mpmath.conj(psi[2 * j + c]) for c in (0, 1))
+                rho /= sum(abs(x) ** 2 for x in psi)
+                yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+                lam = sorted((mpmath.sqrt(abs(mpmath.re(x))) for x in mpmath.eig(rho * yy * rho.conjugate() * yy)[0]),
+                             reverse=True)
+                exact = lam[0] - lam[1] - lam[2] - lam[3]
+            closed = symmetric_concurrence_closed_form(theta, kappa, alpha)
+            assert abs(closed - exact) <= 1e-14 * exact, alpha
+
+    def test_finite_on_the_faces(self):
+        # kappa = pi is left out: there theta = pi / 4, alpha = 0 is the zero vector
+        th, ka, al = np.meshgrid(np.linspace(0.0, np.pi / 4, 9), np.linspace(0.0, 2 * np.pi, 10),
+                                 np.linspace(0.0, np.pi / 2, 9), indexing="ij")
+        conc = symmetric_concurrence_closed_form(th, ka, al)
+        assert np.all((conc >= 0.0) & (conc <= 1.0))
+        assert np.all(conc[0] == 0.0) and np.all(conc[:, :, 0] == 0.0)  # theta = 0, alpha = 0: product states
+
 
 class TestWClass:
     def test_theta1_zero_is_product(self):
