@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -152,8 +152,8 @@ def _cmd_sample(ns) -> int:
         f"max_ggm_overall={_float_fmt(summary.max_ggm_overall)}"
     )
     if ns.summary_json:
-        with open(ns.summary_json, "w") as fh:
-            json.dump(asdict(summary), fh, indent=1)
+        with open(ns.summary_json, "w") as fh:  # one write; asdict would deep-copy the histograms
+            fh.write(json.dumps({f.name: getattr(summary, f.name) for f in fields(summary)}, indent=1))
     return 0
 
 
@@ -244,15 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _config_parser() -> argparse.ArgumentParser:
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _with_config_flags(argv: list[str]) -> list[str]:
     """argv with each ``key = value`` line of the ``--config`` file, in file order, as a
     ``--key=value`` token right after the subcommand, so argparse checks it like a flag,
     a repeated key appends like a repeated flag, and any command-line flag, parsed
     later, wins."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
     try:
-        path = pre.parse_known_args(argv)[0].config
+        path = _config_parser().parse_known_args(argv)[0].config
     except argparse.ArgumentError:  # '--config' without a path: the full parser words it
         return argv
     if path is None:

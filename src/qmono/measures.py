@@ -254,6 +254,25 @@ def nodal_first(amps, site: int) -> np.ndarray:
     return np.moveaxis(p, site + 1, 1).reshape(-1, 8)
 
 
+_CHUNK = 4096  # states per kernel pass: a (K,) complex column of 64 KB
+
+
+def _in_chunks(kernel):
+    """``kernel`` over pieces of at most ``_CHUNK`` states, and one pass up to that.  From
+    256 KB a column (16,384 complex states) numpy reuses temporaries in place, and the
+    in-place products round differently, so scores would depend on the batch."""
+
+    @functools.wraps(kernel)
+    def run(amps):
+        amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
+        if len(amps) <= _CHUNK:
+            return kernel(amps)
+        parts = [kernel(amps[i : i + _CHUNK]) for i in range(0, len(amps), _CHUNK)]
+        return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
+
+    return run
+
+
 def _columns(amps) -> np.ndarray:
     """(2, 2, 2, K) amplitudes: x[a, b, c] is the contiguous (K,) column of |abc>.  The
     kernels multiply complex columns only when contiguous and of one shape: numpy's
@@ -298,13 +317,14 @@ def _concurrence_sq(w) -> np.ndarray:
     return np.maximum(c2, 0.0)
 
 
+@_in_chunks
 def pure_scores_batch(amps: np.ndarray):
     """(delta_D, delta_C, S_A, S(A|B), S(A|C), C_AB^2, C_AC^2) for a (K, 8) batch, nodal A.
 
     Exact: S(A|B) = E_f(C_AC) and S(A|C) = E_f(C_AB) (Koashi-Winter), and
-    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, from one elementwise pass over
-    the amplitude columns (C^2 through ``_concurrence_sq``'s tau), so a state's
-    scores are bit-for-bit the same in any batch (the root finders rely on this).
+    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, from elementwise passes over the
+    amplitude columns of ``_CHUNK`` states (C^2 through ``_concurrence_sq``'s tau),
+    so a state's scores are bit-for-bit the same in any batch (the root finders rely on this).
     """
     x = _columns(amps)
     c2_ab, c2_ac = _concurrence_sq(x), _concurrence_sq(np.swapaxes(x, 1, 2))  # C, then B traced
@@ -315,6 +335,7 @@ def pure_scores_batch(amps: np.ndarray):
     return s_a - cond_ab - cond_ac, tangle - c2_ab - c2_ac, s_a, cond_ab, cond_ac, c2_ab, c2_ac
 
 
+@_in_chunks
 def ggm_batch(amps: np.ndarray) -> np.ndarray:
     """Generalized geometric measure of a (K, 8) batch: 1 - the largest eigenvalue
     of the three single-qubit marginals, the three bipartitions of three qubits.

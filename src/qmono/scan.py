@@ -13,20 +13,21 @@ output here.  ``grid_scan`` (and ``path_trace``, a one-axis grid) and
 ``sample_experiment`` score their states in one chunked pass into the
 columns of a ``ScanTable``; ``find_zero_crossings`` and ``surface_zero``
 (a ``SurfaceTable``) find zeros by one ``_bracket_and_bisect``, and
-``write_csv`` formats both tables.  All randomness is seed-in, state-out; grid
-orderings are row-major over the axes as given, and outputs are
-bit-identical across runs with the same inputs.
+``write_csv`` formats both tables, one ``%`` format per block of rows.  All
+randomness is seed-in, state-out; grid orderings are row-major over the axes
+as given, and outputs are bit-identical across runs with the same inputs.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
 from .bell import mk_optimize, mk_symmetric_closed_form
-from .measures import ggm_batch, pure_scores_batch  # called by these names, which bench/spans.py wraps
+from .measures import _CHUNK, eof_batch, ggm_batch, pure_scores_batch  # bench/spans.py wraps the last two
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
 from .monogamy import ZERO_BAND_DEFAULT, pure_qubit_batch
 from .qcore import PureState, binary_entropy
@@ -124,9 +125,6 @@ class Prop4Result:
 
 
 # --- vectorized per-state scores ----------------------------------------------
-
-_CHUNK = 4096  # states per kernel call in sweeps and samples
-
 
 def _marginals(amps: np.ndarray):
     """(rho_AB, rho_AC) stacks; the tests' Wootters checks use it, bench/spans.py times it."""
@@ -370,9 +368,9 @@ def surface_zero(
     change whose ends clear ``noise_floor``, all cells at once, a few levels
     per call (one from 34 cells on); alpha* is the final midpoint, as in scalar
     bisection, and one more call gives delta_D there.  Also evaluates the
-    closed-form surface condition 2 H(h) = H(e1) at each point, h from the
-    closed-form marginal concurrence and H(e1) = S_A from the same kernel
-    call as delta_D; the residual is kept.
+    closed-form surface condition 2 H(h) = H(e1) at each point: H(h) is ``eof_batch``
+    (no cancellation at small C) of the closed-form marginal concurrence, and H(e1)
+    = S_A comes from the same kernel call as delta_D; the residual is kept.
     """
     tt, kk = np.meshgrid(np.ravel(thetas), np.ravel(kappas), indexing="ij")
     cells = np.stack([tt.ravel(), kk.ravel(), np.zeros(tt.size)], axis=1)
@@ -386,9 +384,7 @@ def surface_zero(
     tt_s, kk_s = cells[sel, 0], cells[sel, 1]
     amps = family_states("ghz-sym", np.stack([tt_s, kk_s, astar], axis=1))
     dd, _, e1 = pure_scores_batch(amps)[:3]  # e1: S_A = H(e_1)
-    conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)
-    h = (1.0 + np.sqrt(np.maximum(0.0, 1.0 - conc * conc))) / 2.0
-    residual = np.abs(2.0 * binary_entropy(h) - e1)
+    residual = np.abs(2.0 * eof_batch(symmetric_concurrence_closed_form(tt_s, kk_s, astar)) - e1)
     return SurfaceTable(tt_s, kk_s, astar, dd, ggm_batch(amps), residual, np.ones(sel.size, dtype=bool))
 
 
@@ -470,29 +466,37 @@ def write_csv(table, path) -> None:
 
     A ScanTable, which must have rows, gives ``family,p1..pk,delta_D,delta_C,ggm,mk,zero_band``;
     a SurfaceTable ``theta,kappa,alpha_star,delta_D,ggm,closed_form_residual,in_domain``.
-    Rows are joined as ``csv.writer``'s default dialect would write them (CRLF ends): no field
-    needs quoting, as family names, ``.9g`` floats and true/false hold no comma, quote or newline.
+    Rows are as ``csv.writer``'s default dialect would write them (CRLF ends): no field needs
+    quoting, as family names, ``.9g`` floats and true/false hold no comma, quote or newline.
+    Each block of ``_CHUNK`` rows is one ``%`` format of a repeated one-row template.
     """
     n = len(table)
-
-    def fmt(col):  # Python floats format faster than numpy scalars
-        if col is None:
-            return [""] * n
-        if col.dtype == bool:
-            return ["true" if b else "false" for b in col.tolist()]
-        text = [f"{v:.9g}" for v in col.tolist()]
-        return [t if t != "nan" else "" for t in text] if np.isnan(col).any() else text
-
     if isinstance(table, SurfaceTable):
         header = ["theta", "kappa", "alpha_star", "delta_D", "ggm", "closed_form_residual", "in_domain"]
-        columns = [fmt(getattr(table, f.name)) for f in fields(table)]
+        specs, columns = [], [getattr(table, f.name) for f in fields(table)]
     elif n:
         header = ["family", *(f"p{i + 1}" for i in range(table.params.shape[1]))]
         header += ["delta_D", "delta_C", "ggm", "mk", "zero_band"]
-        columns = [[table.family] * n, *map(fmt, table.params.T)]
-        columns += map(fmt, (table.delta_d, table.delta_c, table.ggm, table.mk, table.zero_band))
+        specs = [table.family.replace("%", "%%")]
+        columns = [*table.params.T, table.delta_d, table.delta_c, table.ggm, table.mk, table.zero_band]
     else:
         raise ValueError("no records to write")
+    values = []  # lists: Python floats format faster than numpy scalars
+    for col in columns:
+        if col is None:
+            specs.append("")
+        elif col.dtype == bool:
+            specs.append("%s")
+            values.append(list(map(("false", "true").__getitem__, col.tolist())))
+        elif np.isnan(col).any():  # the one data-dependent case: NaN prints as an empty field
+            specs.append("%s")
+            values.append([f"{v:.9g}" if v == v else "" for v in col.tolist()])
+        else:
+            specs.append("%.9g")
+            values.append(col.tolist())
+    row = ",".join(specs) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+        for i in range(0, n, _CHUNK):
+            block = [v[i : i + _CHUNK] for v in values]
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))

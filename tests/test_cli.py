@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from numpy.testing import assert_allclose
 import qmono
 from qmono.cli import SystemExit2, _axis_values, main, parse_config_file
 from qmono.qcore import DensityMatrix, save_state
+from qmono.scan import sample_experiment
 from qmono.states import ghz_state, haar_random, symmetric_ghz
 
 
@@ -245,6 +248,16 @@ class TestSampleCommand:
         data = json.loads(out.read_text())
         assert data["n"] == 50
 
+    @pytest.mark.parametrize("epsilon", ["0", "1e-2"])  # no state in the band, then some
+    def test_summary_json_bytes(self, tmp_path, epsilon):
+        out = tmp_path / "summary.json"
+        assert main(["sample", "-n", "300", "--seed", "2", "--epsilon", epsilon, "--summary-json", str(out)]) == 0
+        summary = sample_experiment(300, 2, epsilon=float(epsilon))
+        assert (summary.max_ggm_in_band is None) == (epsilon == "0")
+        oracle = io.StringIO()
+        json.dump(dataclasses.asdict(summary), oracle, indent=1)
+        assert out.read_bytes() == oracle.getvalue().encode()
+
     def test_zero_samples_usage_error(self, capsys):
         assert main(["sample", "-n", "0"]) == 2
         assert "-n must be >= 1" in capsys.readouterr().err
@@ -421,6 +434,15 @@ class TestConfigFile:
         conf.write_text("seed = 7\n")
         for flag in ([f"--config={conf}"], ["--conf", str(conf)]):
             assert main(["sample", "-n", "5", *flag]) == 0
+            assert "seed=7 " in capsys.readouterr().out
+
+    def test_config_without_path_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("seed = 7\n")
+        for _ in range(2):  # the one pre-parser keeps nothing from a call
+            assert main(["sample", "-n", "5", "--config"]) == 2
+            assert "--config: expected one argument" in capsys.readouterr().err
+            assert main(["sample", "-n", "5", "--conf", str(conf)]) == 0
             assert "seed=7 " in capsys.readouterr().out
 
     def test_value_with_leading_dash(self, tmp_path, capsys):

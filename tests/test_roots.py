@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qmono import scan
-from qmono.qcore import binary_entropy
+from qmono.measures import eof_batch
 from qmono.scan import (
     FAMILY_PARAMS,
     NOISE_FLOOR_DEFAULT,
@@ -118,9 +118,8 @@ def ref_surface(thetas, kappas, alpha_lo, alpha_hi, presample, xtol, rounds_seen
     e1 = scan.pure_scores_batch(amps)[2]
     conc = symmetric_concurrence_closed_form(tt_s, kk_s, astar)
     residual = np.full(sel.size, np.nan)
-    for i in np.nonzero(~np.isnan(conc))[0]:  # one point at a time
-        h = (1.0 + np.sqrt(max(0.0, 1.0 - conc[i] * conc[i]))) / 2.0
-        residual[i] = abs(2.0 * binary_entropy(h) - e1[i])
+    for i in np.nonzero(~np.isnan(conc))[0]:  # one point at a time; 2 H(h) = 2 E_f(C)
+        residual[i] = abs(2.0 * eof_batch(conc[i]) - e1[i])
     return SurfaceTable(tt_s, kk_s, astar, dd, gg, residual, ~np.isnan(conc))
 
 

@@ -1,6 +1,6 @@
 import csv
 import io
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ from qmono.states import (
     ghz_state,
     haar_random_amplitudes,
     path_w_ghz,
+    symmetric_concurrence_closed_form,
     symmetric_ghz,
     w_class,
 )
@@ -127,6 +128,17 @@ class TestBatchKernels:
                 part = [*pure_scores_batch(amps[i : i + size]), ggm_batch(amps[i : i + size])]
                 for got, want in zip(part, whole):
                     assert np.array_equal(got, want[i : i + size])
+
+    def test_batch_invariance_past_temporary_reuse(self):
+        # from 16,384 states a complex column reaches numpy's 256 KB threshold for reusing
+        # temporaries in place, whose products round differently: the kernels score in
+        # _CHUNK-state pieces, so a large call still equals small ones bit for bit
+        amps = haar_random_amplitudes(20_000, 62)
+        whole = [*pure_scores_batch(amps), ggm_batch(amps)]
+        pieces = [[*pure_scores_batch(amps[i : i + 100]), ggm_batch(amps[i : i + 100])] for i in range(0, 20_000, 100)]
+        assert len(whole) == 8
+        for got, want in zip(map(np.concatenate, zip(*pieces)), whole):
+            assert np.array_equal(got, want)
 
     def test_edge_states_against_eigh(self):
         # the elementwise kernels against eigh-based Wootters on the marginals and
@@ -369,6 +381,22 @@ class TestSurfaceZero:
         assert len(pts) and np.all(pts.in_domain)
         assert np.all(pts.closed_form_residual <= 1e-4)
 
+    def test_residual_at_small_concurrence(self):
+        # near theta = 0 the marginal concurrence is ~1e-2; 2 H(h) against 40 digits at the same
+        # C (h = (1 + sqrt(1 - C^2)) / 2 formed in floats lost up to ~2.5e-15 here)
+        mpmath = pytest.importorskip("mpmath")
+        pts = surface_zero(np.linspace(0.02, 0.06, 5), np.linspace(0.0, 6.0, 5))
+        rows = np.stack([pts.theta, pts.kappa, pts.alpha_star], axis=1)
+        s_a = pure_scores_batch(family_states("ghz-sym", rows))[2]
+        conc = symmetric_concurrence_closed_form(pts.theta, pts.kappa, pts.alpha_star)
+        assert len(pts) == 25 and conc.max() < 0.02
+        with mpmath.workdps(40):
+            for c, sa, residual in zip(conc, s_a, pts.closed_form_residual):
+                c = mpmath.mpf(float(c))
+                p = c * c / (2 * (1 + mpmath.sqrt(1 - c * c)))  # the smaller branch probability
+                two_h = 2 * (-p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2))
+                assert abs(residual - float(abs(two_h - float(sa)))) <= 4e-16  # 1 - p rounds: 1.6e-16 per H
+
 
 class TestSampleExperiment:
     def test_deterministic(self):
@@ -496,23 +524,33 @@ class TestCsv:
         return buf.getvalue().encode()
 
     def test_bytes_match_csv_writer(self, tmp_path):
-        # write_csv joins rows itself; csv.writer's default dialect is the oracle
-        params = np.array([[0.1, -2.5e-7, 3.0], [np.nan, 1.0, 1e-300]])
-        scan_table = ScanTable(
-            "ghz-sym", params, np.array([1e-5, np.nan]), np.array([-0.0, 0.25]),
-            np.array([0.5, 1 / 3]), None, np.array([True, False]),
+        # write_csv formats whole blocks itself; csv.writer's default dialect is the oracle.
+        # Column 0 holds NaN, columns 1-2 -0.0, +-inf and values printed with an exponent.
+        params = np.array(
+            [[0.1, -2.5e-7, 3.0], [np.nan, -0.0, 1e-300], [2.0, np.inf, -np.inf], [1e-05, 1e20, 123456789.5]]
         )
+        scan_table = ScanTable(
+            "ghz-sym", params, np.array([1e-5, np.nan, np.inf, -0.0]), np.array([-0.0, 0.25, 1e-05, 1e20]),
+            np.array([0.5, 1 / 3, -np.inf, 2.0]), None, np.array([True, False, False, True]),
+        )
+        rng, n = np.random.default_rng(5), _CHUNK + 3  # two blocks
+        spread = [rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n) for _ in range(4)]
+        big = ScanTable("haar", np.arange(n, dtype=float)[:, None], *spread, rng.random(n) < 0.5)
         surface = SurfaceTable(
             np.array([0.3, 0.4]), np.array([1.0, 2.0]), np.array([0.7, 1.2]), np.array([1e-9, -3e-8]),
             np.array([0.2, 0.4]), np.array([5e-6, np.nan]), np.array([True, False]),
         )
-        scan_header = ["family", "p1", "p2", "p3", "delta_D", "delta_C", "ggm", "mk", "zero_band"]
-        scan_cols = [["ghz-sym"] * 2, *params.T, scan_table.delta_d, scan_table.delta_c, scan_table.ggm, [None] * 2]
         cases = [
-            (scan_table, scan_header, scan_cols + [scan_table.zero_band]),
             (surface, ["theta", "kappa", "alpha_star", "delta_D", "ggm", "closed_form_residual", "in_domain"],
              [getattr(surface, f.name) for f in fields(surface)]),
         ]
+        with_mk = replace(scan_table, family="5%s%%", mk=np.array([1.5, np.nan, -np.inf, 2.0]))
+        for table in (scan_table, with_mk, big):
+            k, rows = table.params.shape[1], len(table)
+            header = ["family", *(f"p{i + 1}" for i in range(k)), "delta_D", "delta_C", "ggm", "mk", "zero_band"]
+            mk = [None] * rows if table.mk is None else table.mk
+            columns = [[table.family] * rows, *table.params.T, table.delta_d, table.delta_c, table.ggm, mk]
+            cases.append((table, header, columns + [table.zero_band]))
         for table, header, columns in cases:
             path = tmp_path / "t.csv"
             write_csv(table, path)
