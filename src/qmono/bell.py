@@ -21,8 +21,9 @@ state: it takes the outer product of the other two parties' settings,
 (a_q, a_q') (x) (a_r, a_r'), to p's rows (u, v) with tr(B_3 eta) =
 (a_p.u + a_p'.v)/2, so a party's rows are one outer product and one
 matmul.  Settings are laid out as (..., 2, 3 parties, 3): a's, then a''s.
-The maximizing settings of a state form a flat set and the search returns one
-point of it: the value reproduces to rounding, the settings to about 1e-7.
+The search returns the polish's value from the party maps and the settings that
+attain it, one point of the flat set of a state's maximizing settings: the value
+reproduces to rounding, the settings to about 1e-7.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class MKSettings:
         for v in a + ap:
             if v.shape != (3,):
                 raise ValueError("directions must be 3-vectors")
-            if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails too
                 raise ValueError(f"direction {v} is not unit norm")
             v.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -95,7 +96,8 @@ def pauli_operator(direction) -> np.ndarray:
 
 
 def _mk_operator_from_angles(angles) -> np.ndarray:
-    """Bell operator at a flat (theta, phi) pair per direction, a's then a''s."""
+    """Bell operator at a flat (theta, phi) pair per direction, a's then a''s.  Nothing in
+    ``qmono`` calls it; it stays because bench/spans.py wraps this name."""
     return mk_operator(MKSettings.from_angles(angles))
 
 
@@ -183,8 +185,8 @@ def mk_optimize(state, restarts: int = 100, seed: int = 0,
     chart of the tangent planes at its six directions (12 coordinates, B_3 and its
     gradient from the same maps; no polar singularity).
 
-    The value is |tr(B_3 eta)| recomputed from the 8x8 operator at the
-    returned settings, which attain it: a lower bound on the true maximum.
+    The value is the polish's |B_3| from the party maps, attained by the
+    returned settings (its directions): a lower bound on the true maximum.
     The settings are the point of a flat set of maximizers where the polish
     stops: across summation orders they reproduce to about 1e-7, the value to rounding.
     For a fixed seed the starts of k restarts are the first k of any larger
@@ -211,10 +213,9 @@ def mk_optimize(state, restarts: int = 100, seed: int = 0,
             break
     vec0 = starts[int(np.argmax(value))].reshape(6, 3)  # a's then a''s
     frame = np.stack(tangent_frame(vec0), axis=-1)
-    xi = minimize(_negative_mk_and_gradient, np.zeros(12), args=(maps, vec0, frame)).x
-    vec = _chart_directions(xi, vec0, frame)[0][0]  # (6, 3): a batch of one point
-    x = MKSettings(tuple(vec[:3]), tuple(vec[3:])).to_angles()
-    return abs(float(np.trace(_mk_operator_from_angles(x) @ rho).real)), MKSettings.from_angles(x)
+    res = minimize(_negative_mk_and_gradient, np.zeros(12), args=(maps, vec0, frame))
+    vec = _chart_directions(res.x, vec0, frame)[0][0]  # (6, 3): a batch of one point
+    return abs(res.fun), MKSettings(tuple(vec[:3]), tuple(vec[3:]))
 
 
 def mk_symmetric_closed_form(theta, alpha, kappa):

@@ -115,7 +115,7 @@ class MeasurementBasis:
         if len(projs) != d:
             raise ValueError(f"need {d} projectors for dimension {d}")
         total = sum(projs)
-        if np.max(np.abs(total - np.eye(d))) > _PROJECTOR_TOL:
+        if not np.max(np.abs(total - np.eye(d))) <= _PROJECTOR_TOL:  # NaN fails too
             raise ValueError("projectors do not sum to the identity")
         for i, p in enumerate(projs):
             if max(abs(np.trace(p).real - 1.0), np.max(np.abs(p.conj().T @ p - p))) > _PROJECTOR_TOL:
@@ -258,9 +258,10 @@ _CHUNK = 4096  # states per kernel pass: a (K,) complex column of 64 KB
 
 
 def _in_chunks(kernel):
-    """``kernel`` over pieces of at most ``_CHUNK`` states, and one pass up to that.  From
-    256 KB a column (16,384 complex states) numpy reuses temporaries in place, and the
-    in-place products round differently, so scores would depend on the batch."""
+    """``kernel`` over pieces of at most ``_CHUNK`` states, and one pass up to that: the one
+    place a batch is split, so callers pass whole batches.  From 256 KB a column (16,384
+    complex states) numpy reuses temporaries in place, and the in-place products round
+    differently, so scores would depend on the batch."""
 
     @functools.wraps(kernel)
     def run(amps):

@@ -27,14 +27,15 @@ XLOG_FLOOR = 1e-15  # x log2 x is 0 at and below this (<= 5e-14 bits); E_f at C 
 
 
 class _Parties:
-    """The party rule of ``PureState`` and ``DensityMatrix``: positive ``dims`` and one distinct
-    label per party, 'A', 'B', ... when ``labels`` is empty (at most 26 parties then)."""
+    """The party rule of ``PureState`` and ``DensityMatrix``: positive integer ``dims`` and one
+    distinct label per party, 'A', 'B', ... when ``labels`` is empty (at most 26 parties then)."""
 
     def _set_parties(self) -> int:
         """Check and freeze ``dims`` and ``labels``; returns the total dimension."""
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
+        dims = tuple(self.dims)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1 for d in dims):
+            raise ValueError(f"subsystem dimensions must be positive integers, got {self.dims!r}")
+        dims = tuple(map(int, dims))
         labels = tuple(self.labels) or tuple(string.ascii_uppercase[: len(dims)])
         if len(labels) != len(dims) or len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct and match dims")
@@ -62,6 +63,8 @@ class PureState(_Parties):
         amps = np.array(np.ravel(self.amplitudes), dtype=complex)  # a copy: frozen below
         if amps.size != d:
             raise ValueError(f"amplitude vector has length {amps.size}, expected {d}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if norm < 1e-14:
             raise ValueError("cannot normalize the zero vector")
@@ -94,6 +97,8 @@ class DensityMatrix(_Parties):
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = np.trace(m).real

@@ -10,8 +10,8 @@ from the rank-2 marginals' amplitudes.  The grid-and-zoom search
 (``measures.conditional_entropy_qubit_batch`` on ``_marginals``) minimizes
 S(A|B) over measurements instead; it is the tests' oracle and computes no
 output here.  ``grid_scan`` (and ``path_trace``, a one-axis grid) and
-``sample_experiment`` score their states in one chunked pass into the
-columns of a ``ScanTable``; ``find_zero_crossings`` and ``surface_zero``
+``sample_experiment`` score all their states in one call of each kernel into
+the columns of a ``ScanTable``; ``find_zero_crossings`` and ``surface_zero``
 (a ``SurfaceTable``) find zeros by one ``_bracket_and_bisect``, and
 ``write_csv`` formats both tables, one ``%`` format per block of rows.  All
 randomness is seed-in, state-out; grid orderings are row-major over the axes
@@ -143,14 +143,9 @@ def delta_c_batch(amps: np.ndarray) -> np.ndarray:
 
 
 def _score(family: str, params: np.ndarray, amps: np.ndarray, epsilon: float) -> ScanTable:
-    """The ScanTable of (K, 8) amplitudes without MK, ``_CHUNK`` states per kernel call."""
-    n = len(amps)
-    dd, dc, gg = (np.empty(n) for _ in range(3))
-    for i in range(0, n, _CHUNK):
-        sl = slice(i, i + _CHUNK)
-        dd[sl], dc[sl] = pure_scores_batch(amps[sl])[:2]
-        gg[sl] = ggm_batch(amps[sl])
-    return ScanTable(family, params, dd, dc, gg, None, np.abs(dd) < epsilon)
+    """The ScanTable of (K, 8) amplitudes without MK, one call of each kernel."""
+    dd, dc = pure_scores_batch(amps)[:2]
+    return ScanTable(family, params, dd, dc, ggm_batch(amps), None, np.abs(dd) < epsilon)
 
 
 def grid_scan(
@@ -185,9 +180,7 @@ def grid_scan(
     if mk_mode == "closed" and family != "ghz-sym":
         raise ValueError("closed-form MK is defined for the ghz-sym family only")
 
-    amps = np.concatenate(
-        [family_states(family, rows[i : i + _CHUNK]) for i in range(0, len(rows), _CHUNK)]
-    )
+    amps = family_states(family, rows)
     table = _score(family, rows, amps, epsilon)
     if mk_mode == "closed":
         mk = mk_symmetric_closed_form(rows[:, 0], rows[:, 2], rows[:, 1])
@@ -221,13 +214,10 @@ def _delta_along(family: str, base: np.ndarray, axis_idx: int, xs: np.ndarray) -
     """(n, m) delta_D at parameter row ``base[i]`` with column ``axis_idx`` set to ``xs[i, j]``."""
     rows = np.repeat(base, xs.shape[1], axis=0)
     rows[:, axis_idx] = xs.ravel()
-    out = np.empty(rows.shape[0])
-    for i in range(0, rows.shape[0], _CHUNK):
-        out[i : i + _CHUNK] = pure_scores_batch(family_states(family, rows[i : i + _CHUNK]))[0]
-    return out.reshape(xs.shape)
+    return pure_scores_batch(family_states(family, rows))[0].reshape(xs.shape)
 
 
-def _check_root_inputs(lo, hi, presample, xtol, noise_floor, params) -> None:
+def _check_root_inputs(lo, hi, presample, xtol, noise_floor) -> None:
     if presample < 2:
         raise ValueError(f"presample must be >= 2, got {presample}")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -236,8 +226,6 @@ def _check_root_inputs(lo, hi, presample, xtol, noise_floor, params) -> None:
         raise ValueError(f"xtol must be > 0, got {xtol}")
     if not noise_floor >= 0:
         raise ValueError(f"noise_floor must be >= 0, got {noise_floor}")
-    if not np.all(np.isfinite(params)):
-        raise ValueError("fixed parameters must be finite")
 
 
 def _sign_changes(vals: np.ndarray, noise_floor: float) -> np.ndarray:
@@ -332,7 +320,7 @@ def find_zero_crossings(
     if missing:
         raise ValueError(f"missing fixed parameters {sorted(missing)}")
     base = np.array([[0.0 if n == axis else fixed[n] for n in names]], dtype=float)
-    _check_root_inputs(lo, hi, presample, xtol, noise_floor, base)
+    _check_root_inputs(lo, hi, presample, xtol, noise_floor)
     axis_idx = names.index(axis)
 
     xs = np.linspace(lo, hi, presample)
@@ -374,7 +362,7 @@ def surface_zero(
     """
     tt, kk = np.meshgrid(np.ravel(thetas), np.ravel(kappas), indexing="ij")
     cells = np.stack([tt.ravel(), kk.ravel(), np.zeros(tt.size)], axis=1)
-    _check_root_inputs(alpha_lo, alpha_hi, presample, xtol, noise_floor, cells)
+    _check_root_inputs(alpha_lo, alpha_hi, presample, xtol, noise_floor)
 
     grid = np.linspace(alpha_lo, alpha_hi, presample)
     sel, b_lo, b_hi, _, _ = _bracket_and_bisect("ghz-sym", cells, 2, grid, noise_floor, xtol, True)

@@ -150,6 +150,8 @@ def family_states(family: str, rows) -> np.ndarray:
     want = len(FAMILY_PARAMS[family])
     if rows.shape[1] != want:
         raise ValueError(f"family {family!r} takes {want} parameters per row")
+    if not np.isfinite(rows).all():
+        raise ValueError("family parameters must be finite")
     k = rows.shape[0]
     if family in ("ghz", "ghz-sym"):
         theta, kappa = rows[:, 0], rows[:, 1]

@@ -36,6 +36,11 @@ class TestSettings:
         with pytest.raises(ValueError):
             MKSettings((np.array([1.0, 1.0, 0.0]),), (Z,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(ValueError, match="unit norm"):
+            MKSettings((np.array([bad, 0.0, 0.0]),), (Z,))
+
     def test_angle_round_trip(self):
         rng = np.random.default_rng(2)
         s = random_settings(rng)

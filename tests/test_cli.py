@@ -285,6 +285,9 @@ MALFORMED_STATE_FILES = {
     "nan-entry": {"dims": [2, 2, 2], "amplitudes": [[float("nan"), 0]] + _AMPS[1:]},
     "ragged-matrix": {"dims": [2], "matrix": [[[0.5, 0]], [[0, 0], [0.5, 0]]]},
     "dims-not-a-list": {"dims": 8, "amplitudes": _AMPS},
+    "dims-a-string": {"dims": "222", "amplitudes": _AMPS},
+    "fractional-dims": {"dims": [2.5, 2, 2], "amplitudes": _AMPS},
+    "boolean-dims": {"dims": [True, 2, 2], "amplitudes": _AMPS[:4]},
     "no-state-key": {"dims": [2, 2, 2]},
 }
 

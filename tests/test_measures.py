@@ -97,6 +97,10 @@ class TestMeasurementBasis:
         with pytest.raises(ValueError):
             MeasurementBasis(("B",), (np.eye(2), np.zeros((2, 2))))
 
+    def test_non_finite_projectors_rejected(self):
+        with pytest.raises(ValueError):
+            MeasurementBasis(("B",), ([[1.0, np.nan], [np.nan, 0.0]], np.diag([0.0, 1.0])))
+
     def test_hermiticity_enforced(self):
         # trace-1 idempotents that sum to I, but not Hermitian: an oblique projection
         with pytest.raises(ValueError):

@@ -77,6 +77,11 @@ class TestPureState:
     def test_default_labels(self):
         assert ghz().labels == ("A", "B", "C")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState([1.0, bad, 0.0, 0.0], (2, 2))
+
     def test_normalized_vector_keeps_its_bits(self, tmp_path):
         # its norm misses 1 by rounding only, and dividing by that norm would move the last bits
         path = tmp_path / "psi.json"
@@ -116,6 +121,24 @@ class TestDensityMatrix:
             assert make((1, 1)).labels == ("A", "B") and make((1, 1)).index_of("B") == 1
             with pytest.raises(ValueError, match="unknown party label 'Q'"):
                 make((1, 1)).index_of("Q")
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.full((2, 2), np.nan), (2,))
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.diag([np.inf, 0.5]), (2,))
+
+    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2.0, 2, 2), "222", (True, 2, 2), (np.float64(2), 2, 2)])
+    def test_dims_must_be_integers(self, dims):
+        # int() would make 2.5 a qubit, "222" three qubits and True a dimension of 1
+        n = 4 if dims[0] is True else 8
+        for make in (lambda d: PureState(np.ones(n), d), lambda d: DensityMatrix(np.eye(n) / n, d)):
+            with pytest.raises(ValueError, match="integers"):
+                make(dims)
+
+    def test_numpy_integer_dims_accepted(self):
+        psi = PureState(np.ones(8), tuple(np.array([2, 2, 2])))
+        assert psi.dims == (2, 2, 2) and all(type(d) is int for d in psi.dims)
 
     def test_purity(self):
         assert ghz().density().is_pure()

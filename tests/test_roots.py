@@ -229,7 +229,7 @@ def test_tree_calls_keep_to_state_budget(kernel_calls, cells):
     """A tree call holds at most _TREE_STATES states, or one level when the
     brackets alone exceed it, so large surfaces bisect one level per call."""
     assert len(surface_zero([np.pi / 4], np.linspace(0.1, 2 * np.pi, cells))) == cells
-    tree_calls = kernel_calls[-(cells * 64 // -scan._CHUNK) : -1]  # after the presample
+    tree_calls = kernel_calls[1:-1]  # after the presample, before delta_D at alpha*
     assert tree_calls
     assert max(tree_calls) <= max(scan._TREE_STATES, cells)
     assert (set(tree_calls) == {cells}) == (3 * cells > scan._TREE_STATES)

@@ -306,6 +306,24 @@ class TestGridScan:
         with pytest.raises(ValueError, match="empty"):
             grid_scan("ghz-sym", [("theta", []), ("kappa", [0.0]), ("alpha", [0.5])])
 
+    def test_non_finite_axis_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            grid_scan("ghz-sym", [("theta", [0.3, np.nan]), ("kappa", [0.0]), ("alpha", [0.5])])
+
+    def test_whole_grid_equals_small_slabs(self):
+        # 18,000 points, past the 16,384 states at which numpy starts reusing temporaries:
+        # one scan of the whole grid equals its 100-row slabs bit for bit in every column
+        theta, kappa = np.linspace(0.0, np.pi / 4, 30), np.linspace(0.0, 2 * np.pi, 30)
+        alpha = np.linspace(0.0, np.pi / 2, 20)
+        whole = grid_scan("ghz-sym", [("theta", theta), ("kappa", kappa), ("alpha", alpha)])
+        slabs = [
+            grid_scan("ghz-sym", [("theta", [t]), ("kappa", kappa[j : j + 5]), ("alpha", alpha)])
+            for t in theta for j in range(0, 30, 5)
+        ]
+        assert len(whole) == 18_000 and {len(s) for s in slabs} == {100}
+        for f in fields(whole)[1:]:
+            assert np.array_equal(getattr(whole, f.name), np.concatenate([getattr(s, f.name) for s in slabs])), f.name
+
     def test_sym_residual_populated(self):
         # Prop 3's residual S_A / 2 - S(A|B) is delta_D / 2 on the permutation-symmetric family
         table = grid_scan("ghz-sym", GHZ_PARAMS)
@@ -374,6 +392,16 @@ class TestSurfaceZero:
             assert np.all(np.sign(pure_scores_batch(family_states("ghz-sym", rows))[0]) == np.sign(step))
         assert np.all(pts.in_domain)
         assert np.all(pts.closed_form_residual <= 1e-4)
+
+    def test_many_cells_equal_one_theta_at_a_time(self):
+        # 80 cells presample 5,120 states, above _CHUNK, in one kernel call: the same table as
+        # ten-cell calls, bit for bit, though those bisect more levels per call
+        thetas, kappas = np.linspace(0.35, 0.75, 8), np.linspace(0.2, 2.8, 10)
+        whole = surface_zero(thetas, kappas)
+        parts = [surface_zero([t], kappas) for t in thetas]
+        assert 80 * 64 > _CHUNK and len(whole) == 80
+        for f in fields(whole):
+            assert np.array_equal(getattr(whole, f.name), np.concatenate([getattr(p, f.name) for p in parts])), f.name
 
     def test_in_domain_with_the_faces(self):
         # theta = 0 and alpha = 0 rows presampled; kappa = pi (a zero vector at alpha = 0) left out
