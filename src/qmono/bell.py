@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, minimize, row_norm, tangent_frame
-from .qcore import DensityMatrix, PureState
+from .qcore import INPUT_TOL, DensityMatrix, PureState
 
 _MAX_PARTIES = 6
-_UNIT_TOL = 1e-10  # the test suite's directions are unit to 2.2e-16; admits 11-digit input
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # The see-saw converges linearly (a start can still gain 1e-6 per sweep after 300
 # sweeps), so it only carries each start into its basin: on 150 Haar and Ginibre
@@ -64,7 +63,7 @@ class MKSettings:
         for v in a + ap:
             if v.shape != (3,):
                 raise ValueError("directions must be 3-vectors")
-            if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:  # NaN fails too
+            if not abs(np.linalg.norm(v) - 1.0) <= INPUT_TOL:  # NaN fails too
                 raise ValueError(f"direction {v} is not unit norm")
             v.setflags(write=False)
         object.__setattr__(self, "a", a)

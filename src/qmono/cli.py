@@ -29,6 +29,8 @@ from .qcore import load_state
 from .scan import (
     FAMILY_PARAMS,
     MK_MODES,
+    XTOL_DEFAULT,
+    ZERO_BAND_DEFAULT,
     grid_scan,
     path_trace,
     sample_experiment,
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis", action="append", default=[], metavar="NAME=START:STOP:COUNT",
         help="one per family parameter; single values allowed",
     )
-    p.add_argument("--epsilon", type=float, default=1e-4, help="zero-band half width")
+    p.add_argument("--epsilon", type=float, default=ZERO_BAND_DEFAULT, help="zero-band half width")
     p.add_argument("--mk", choices=MK_MODES, default=None)
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     common(p, restarts=24)
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surface", help="delta_D = 0 surface of the symmetric family")
     p.add_argument("--theta", required=True, metavar="START:STOP:COUNT")
     p.add_argument("--kappa", required=True, metavar="START:STOP:COUNT")
-    p.add_argument("--xtol", type=float, default=1e-6, help="bisection width in alpha")
+    p.add_argument("--xtol", type=float, default=XTOL_DEFAULT, help="bisection width in alpha")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
     common(p, seed=False)
     p.set_defaults(func=_cmd_surface)
@@ -220,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("path", help="trace one interpolation path")
     p.add_argument("--id", required=True, choices=["ghz", "w-ghz"])
     p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=float, default=ZERO_BAND_DEFAULT)
     p.add_argument("--mk", choices=["optimize", "skip"], default="skip",
                    help="MK value per point by see-saw search; default skip")
     p.add_argument("-o", "--output", required=True, help="CSV output path")

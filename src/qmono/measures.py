@@ -8,7 +8,7 @@ Quantum discord D(A:B) = S_B - S_AB + S(A|B) takes the measured conditional entr
 
 which for a pure three-qubit state is exact by Koashi-Winter: S(A|B) =
 E_f(AC).  ``pure_scores_batch`` takes it that way, with the concurrences,
-the three-tangle and S_A, from one pass over (K, 8) amplitudes whose first
+delta_C and S_A, from one pass over (K, 8) amplitudes whose first
 qubit is the nodal one (``nodal_first`` puts it there); ``ggm_batch`` is
 the generalized geometric measure of such a batch.  Both are elementwise on
 the (K,) amplitude columns x_abc (C^2 through the 2x2 tau of ``_concurrence_sq``),
@@ -34,6 +34,7 @@ import numpy as np
 from .qcore import (
     Bipartition,
     DensityMatrix,
+    INPUT_TOL,
     PureState,
     XLOG_FLOOR,
     binary_entropy,
@@ -47,7 +48,6 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _PAULI = np.array([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])  # s_0 = I, s_1..s_3
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
-_PROJECTOR_TOL = 1e-10  # MeasurementBasis checks; the searches' projectors meet them to ~1e-15
 
 
 # --- the Newton polish that ends the MK and U(d) searches ---------------------
@@ -115,10 +115,10 @@ class MeasurementBasis:
         if len(projs) != d:
             raise ValueError(f"need {d} projectors for dimension {d}")
         total = sum(projs)
-        if not np.max(np.abs(total - np.eye(d))) <= _PROJECTOR_TOL:  # NaN fails too
+        if not np.max(np.abs(total - np.eye(d))) <= INPUT_TOL:  # NaN fails too
             raise ValueError("projectors do not sum to the identity")
         for i, p in enumerate(projs):
-            if max(abs(np.trace(p).real - 1.0), np.max(np.abs(p.conj().T @ p - p))) > _PROJECTOR_TOL:
+            if max(abs(np.trace(p).real - 1.0), np.max(np.abs(p.conj().T @ p - p))) > INPUT_TOL:
                 raise ValueError(f"projector {i} is not a rank-1 orthogonal projector")
             p.setflags(write=False)
         object.__setattr__(self, "subsystem", tuple(self.subsystem))
@@ -182,10 +182,10 @@ def unitary_from_angles(angles) -> np.ndarray:
     return u
 
 
-# --- 2x2 spectra and entropies ---------------------------------------------
+# --- 2x2 spectra ---------------------------------------------------------------
 #
-# Elementwise, so one copy serves whole batches and the batches of one that
-# the scalar API passes.
+# Elementwise, so one copy serves whole batches and the scalar API's batches of one.  Every
+# two-level entropy (S_A, each E_f) is ``binary_entropy`` of ``_smaller_eig``; GGM reads ``_eig2``.
 
 
 def _eig2(m00, m01, m11):
@@ -195,10 +195,10 @@ def _eig2(m00, m01, m11):
     return half_t + disc, half_t - disc
 
 
-def _eig2_entropy(m00, m01, m11):
-    """-sum e log2 e over the eigenvalues e of the 2x2 Hermitian above (xlog2x is 0 below 0)."""
-    e1, e2 = _eig2(m00, m01, m11)
-    return -xlog2x(e1) - xlog2x(e2)
+def _smaller_eig(x):
+    """Smaller eigenvalue (1 - sqrt(1 - x)) / 2 of a unit-trace 2x2 spectrum with 4 det = x,
+    written x / (2 (1 + sqrt(1 - x))): no cancellation, so it keeps x's relative precision."""
+    return x / (2.0 * (1.0 + np.sqrt(np.clip(1.0 - x, 0.0, None))))
 
 
 # --- two-qubit closed forms --------------------------------------------------
@@ -228,13 +228,10 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def eof_batch(c) -> np.ndarray:
-    """Entanglement of formation H((1 + sqrt(1 - C^2)) / 2) for an array of concurrences.
-
-    The smaller branch probability is written as C^2 / (2 (1 + sqrt(1 - C^2))),
-    which keeps its relative precision as C goes to 0.
-    """
-    c2 = np.asarray(c, dtype=float) ** 2
-    return binary_entropy(c2 / (2.0 * (1.0 + np.sqrt(np.clip(1.0 - c2, 0.0, None)))))
+    """Entanglement of formation H((1 - sqrt(1 - C^2)) / 2) for an array of concurrences:
+    ``binary_entropy`` of ``_smaller_eig`` at C^2, relatively precise as C goes to 0 (and
+    exactly 0 below C ~ 6.3e-8, where C^2 / 4 reaches ``XLOG_FLOOR``)."""
+    return binary_entropy(_smaller_eig(np.asarray(c, dtype=float) ** 2))
 
 
 def eof_two_qubit(rho: DensityMatrix) -> float:
@@ -268,8 +265,14 @@ def _in_chunks(kernel):
         amps = np.asarray(amps, dtype=complex).reshape(-1, 8)
         if len(amps) <= _CHUNK:
             return kernel(amps)
-        parts = [kernel(amps[i : i + _CHUNK]) for i in range(0, len(amps), _CHUNK)]
-        return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
+        out = None  # each piece goes straight into preallocated columns
+        for i in range(0, len(amps), _CHUNK):
+            part = kernel(amps[i : i + _CHUNK])
+            cols = part if isinstance(part, tuple) else (part,)
+            out = out or tuple(np.empty(len(amps), c.dtype) for c in cols)
+            for o, c in zip(out, cols):
+                o[i : i + _CHUNK] = c
+        return out if isinstance(part, tuple) else out[0]
 
     return run
 
@@ -322,18 +325,17 @@ def _concurrence_sq(w) -> np.ndarray:
 def pure_scores_batch(amps: np.ndarray):
     """(delta_D, delta_C, S_A, S(A|B), S(A|C), C_AB^2, C_AC^2) for a (K, 8) batch, nodal A.
 
-    Exact: S(A|B) = E_f(C_AC) and S(A|C) = E_f(C_AB) (Koashi-Winter), and
-    delta_C = 4 det(rho_A) - C_AB^2 - C_AC^2, from elementwise passes over the
-    amplitude columns of ``_CHUNK`` states (C^2 through ``_concurrence_sq``'s tau),
-    so a state's scores are bit-for-bit the same in any batch (the root finders rely on this).
+    Exact: with C_A:BC^2 = 4 det(rho_A), delta_C = C_A:BC^2 - C_AB^2 - C_AC^2, and S_A, S(A|B) =
+    E_f(C_AC) and S(A|C) = E_f(C_AB) (Koashi-Winter) are one ``binary_entropy`` of ``_smaller_eig``
+    at the three.  Elementwise on the amplitude columns of ``_CHUNK`` states (C^2 through
+    ``_concurrence_sq``'s tau), so a state's scores are bit for bit the same in any batch.
     """
     x = _columns(amps)
     c2_ab, c2_ac = _concurrence_sq(x), _concurrence_sq(np.swapaxes(x, 1, 2))  # C, then B traced
     r00, r01, r11 = _site_marginals(x, (0,))[0]
-    s_a = _eig2_entropy(r00, r01, r11)
-    tangle = 4.0 * np.clip(r00 * r11 - _abs2(r01), 0.0, None)
-    cond_ab, cond_ac = eof_batch(np.sqrt([c2_ac, c2_ab]))
-    return s_a - cond_ab - cond_ac, tangle - c2_ab - c2_ac, s_a, cond_ab, cond_ac, c2_ab, c2_ac
+    c2_a_bc = 4.0 * np.clip(r00 * r11 - _abs2(r01), 0.0, None)
+    s_a, cond_ab, cond_ac = binary_entropy(_smaller_eig(np.stack([c2_a_bc, c2_ac, c2_ab])))
+    return s_a - cond_ab - cond_ac, c2_a_bc - c2_ab - c2_ac, s_a, cond_ab, cond_ac, c2_ab, c2_ac
 
 
 @_in_chunks
@@ -387,14 +389,11 @@ def _coarse_grid() -> np.ndarray:
 _ZOOM_OFFSETS = tuple(x.ravel() for x in np.meshgrid(*[np.linspace(-1.0, 1.0, 9)] * 2, indexing="ij"))
 
 
-def _cond_entropy_terms(m) -> np.ndarray:
-    """p log2 p - sum lambda log2 lambda for each operator of a (..., d, d) stack.
-
-    Summed over a measurement's outcomes this is sum_i p_i S(M_i / p_i).
-    """
-    p = np.trace(m, axis1=-2, axis2=-1).real
-    lam = np.linalg.eigvalsh(m)  # xlog2x takes rounding below 0 as 0
-    return xlog2x(p) - xlog2x(lam).sum(axis=-1)
+def _cond_entropy(p, lam) -> np.ndarray:
+    """sum_i p_i S(M_i / p_i) = sum_i [p_i log2 p_i - sum lambda log2 lambda] over the outcome
+    operators M_i of a measurement, from their traces p (..., n) and eigenvalues lam (..., n, d)
+    (xlog2x takes rounding below 0 as 0)."""
+    return (xlog2x(p) - xlog2x(lam).sum(axis=-1)).sum(axis=-1)
 
 
 # Qubit kept side, closed form.  With R[m, j] = tr(rho s_m (x) s_j), s_0 = I,
@@ -434,7 +433,7 @@ def _kept_objective(comp, nvecs: np.ndarray) -> np.ndarray:
     spec = "kjac,gj->kgac" if nvecs.ndim == 2 else "kjac,kgj->kgac"
     nt = np.einsum(spec, t, nvecs)
     m = (rho_keep[:, None, None] + _PM[:, None, None] * nt[:, :, None]) / 2
-    return _cond_entropy_terms(m).sum(axis=-1)
+    return _cond_entropy(np.trace(m, axis1=-2, axis2=-1).real, np.linalg.eigvalsh(m))
 
 
 def row_norm(x) -> np.ndarray:
@@ -525,7 +524,7 @@ def _basis_objective(r, u):
     m = np.einsum("ambn,kmi,kni->kiab", r, u.conj(), u)
     w, v = np.linalg.eigh(m)
     p = np.trace(m, axis1=-2, axis2=-1).real
-    f = (xlog2x(p) - xlog2x(w).sum(axis=-1)).sum(axis=-1)
+    f = _cond_entropy(p, w)
     log_g = np.log2(np.maximum(p, XLOG_FLOOR)[..., None] / np.maximum(w, XLOG_FLOOR))
     g = (v * log_g[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))  # G_i, eigenvalues log_g
     return f, np.einsum("kiba,ambn,kni->kmi", g, r, u)

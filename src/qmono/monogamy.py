@@ -30,7 +30,11 @@ from .measures import discord  # noqa: F401  (bench/spans.py wraps this name)
 from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
 
 ZERO_BAND_DEFAULT = 1e-4  # |delta_D| below this counts as "vanishing score"
-_PROP1_TOL = 1e-6  # a pure slack is -delta_D: <= 1.99e-7 at surface_zero's xtol (scan.PROP4_TOL)
+# Prop 1's slack and Prop 4's lhs - rhs are >= -PROP_TOL.  A state placed on delta_D = 0 misses
+# each equality by about its |delta_D| (a pure slack is -delta_D): lhs - rhs was >= -1.99e-7 over
+# ``scan.surface_zero``'s points at its default xtol (15 x 15 and 40 x 40 grids) and >= -9.99e-9
+# over 10^4 nonsymmetric states bisected to |delta_D| <= 1e-8, so 1e-6 keeps a factor 5.
+PROP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -167,7 +171,7 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
         S_A=s_a,
         S_cond_AB=cond_ab,
         S_cond_AC=cond_ac,
-        prop1_satisfied=bool(slack >= -_PROP1_TOL),
+        prop1_satisfied=bool(slack >= -PROP_TOL),
         prop1_slack=slack,
         prop2_residual=prop2,
         bound_lower=bound_lower,

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10  # the test suite's 28,871 matrices miss it by <= 2.2e-16; admits 11-digit files
+# Hermiticity and trace of states, projectors, unit directions: the test suite's input meets them to ~1e-15
+INPUT_TOL = 1e-10  # (28,871 matrices Hermitian to 2.2e-16); admits 11-digit files
 PURITY_TOL = 1e-10  # at purity 1 - 1e-10 the neglected spectrum moves an entropy by ~2e-9
-TRACE_TOL = 1e-10  # the test suite's matrices have traces within 1.0e-15 of 1; admits 11-digit files
 PSD_TOL = 1e-9  # their eigenvalues are >= -4.6e-16; 1e-10 entry errors move one by <= 1.6e-9 (d = 16)
 NORM_TOL = 4 * np.finfo(float).eps  # normalized vectors: |norm - 1| <= 2 eps (2e5 Haar, 4-16 amplitudes)
-XLOG_FLOOR = 1e-15  # x log2 x is 0 at and below this (<= 5e-14 bits); E_f at C = 1e-7 needs 2.5e-15
+XLOG_FLOOR = 1e-15  # x log2 x is 0 at and below this (<= 5e-14 bits), so E_f is 0 below C = 6.3e-8
 
 
 class _Parties:
@@ -99,10 +99,10 @@ class DensityMatrix(_Parties):
             raise ValueError(f"matrix shape {m.shape} does not match dims {self.dims}")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        if np.max(np.abs(m - m.conj().T)) > INPUT_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > INPUT_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
         w = np.linalg.eigvalsh(m)
         if w[0] < -PSD_TOL:
@@ -159,16 +159,6 @@ def tensor(a, b):
     raise ValueError("tensor requires two PureStates or two DensityMatrices")
 
 
-def _ptrace_raw(matrix: np.ndarray, dims, keep_idx) -> np.ndarray:
-    """Partial trace on a raw square matrix; keep_idx are axis positions, kept in that order."""
-    n, keep = len(dims), list(keep_idx)
-    order = keep + [i for i in range(n) if i not in keep]  # kept parties first, in the given order
-    d_keep = int(np.prod([dims[i] for i in keep]))
-    d_drop = matrix.shape[0] // d_keep
-    t = matrix.reshape(tuple(dims) * 2).transpose(order + [n + i for i in order])
-    return np.trace(t.reshape(d_keep, d_drop, d_keep, d_drop), axis1=1, axis2=3)
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every party not in ``keep`` and order the kept ones as ``keep`` lists them (a
     label or a set keeps label order; every label only reorders); unknown or repeated labels raise."""
@@ -178,14 +168,15 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         keep_idx.sort()
     if not keep_idx or len(set(keep_idx)) != len(keep_idx):
         raise ValueError(f"keep must name distinct parties, got {tuple(keep)}")
-    if keep_idx == list(range(len(rho.dims))):
+    n = len(rho.dims)
+    if keep_idx == list(range(n)):
         return rho  # every label in order: frozen, with read-only arrays, so it is shared
-    reduced = _ptrace_raw(rho.matrix, rho.dims, keep_idx)
-    return DensityMatrix(
-        reduced,
-        tuple(rho.dims[i] for i in keep_idx),
-        tuple(rho.labels[i] for i in keep_idx),
-    )
+    order = keep_idx + [i for i in range(n) if i not in keep_idx]  # kept parties first, in keep's order
+    dims = tuple(rho.dims[i] for i in keep_idx)
+    d_keep = int(np.prod(dims))
+    t = rho.matrix.reshape(rho.dims * 2).transpose(order + [n + i for i in order])
+    reduced = np.trace(t.reshape(d_keep, -1, d_keep, len(rho.matrix) // d_keep), axis1=1, axis2=3)
+    return DensityMatrix(reduced, dims, tuple(rho.labels[i] for i in keep_idx))
 
 
 def xlog2x(x) -> np.ndarray:
@@ -202,9 +193,13 @@ def vn_entropy(rho) -> float:
 
 
 def binary_entropy(p):
-    """Shannon entropy of a {p, 1-p} distribution, in bits; elementwise, a NaN p giving NaN."""
+    """Shannon entropy of a {p, 1-p} distribution, in bits; elementwise, a NaN p giving NaN, and
+    -0.0 at p = 0 and 1, as CSVs print it.  (1-p) log2(1-p) goes through log1p(-p), as 1 - p
+    drops p's low bits: so H keeps its relative precision for every p <= 1/2."""
     p = np.asarray(p, dtype=float)
-    out = -xlog2x(p) - xlog2x(1.0 - p)  # -0.0 at p = 0 and 1, as eof_batch had: CSVs print it
+    q = 1.0 - p  # q log2 q is 0 at and below XLOG_FLOOR, as in xlog2x
+    q_log_q = np.where(q <= XLOG_FLOOR, 0.0, q * np.log1p(np.maximum(-p, XLOG_FLOOR - 1)) / np.log(2))
+    out = -(xlog2x(p) + q_log_q)  # -(0.0 + -0.0) at p = 0
     return float(out) if out.ndim == 0 else out
 
 

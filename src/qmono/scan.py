@@ -29,7 +29,7 @@ import numpy as np
 from .bell import mk_optimize, mk_symmetric_closed_form
 from .measures import _CHUNK, eof_batch, ggm_batch, pure_scores_batch  # bench/spans.py wraps the last two
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
-from .monogamy import ZERO_BAND_DEFAULT, pure_qubit_batch
+from .monogamy import PROP_TOL, ZERO_BAND_DEFAULT, pure_qubit_batch
 from .qcore import PureState, binary_entropy
 from .states import FAMILY_PARAMS, family_states, haar_random_amplitudes  # the last two timed by bench/spans.py
 from .states import symmetric_concurrence_closed_form
@@ -104,14 +104,6 @@ class SampleSummary:
     max_ggm_overall: float
     delta_hist: tuple[tuple[float, ...], tuple[int, ...]]
     band_ggm_hist: tuple[tuple[float, ...], tuple[int, ...]]
-
-
-# Prop 4's lhs >= rhs - PROP4_TOL.  A state placed on delta_D = 0 to a finite tolerance
-# misses the equality by about its |delta_D|: lhs - rhs was at least -1.99e-7 over the
-# symmetric surface points of ``surface_zero`` at the default xtol = 1e-6 (15 x 15 and
-# 40 x 40 grids, |delta_D| <= 1.99e-7 there) and -9.99e-9 over 10^4 nonsymmetric states
-# bisected to |delta_D| <= 1e-8, so 1e-6 keeps a factor 5 over the surface points.
-PROP4_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -208,6 +200,7 @@ _MAX_ROUNDS = 64  # bisection levels at most: 2^-64 of a bracket is below its fl
 # the Fig 2 line and the two paths keep both bracket ends above 6.7e-6 at
 # 60-400 presamples, and their counts (1, 3, 1) are the same at 1e-12 and 1e-7.
 NOISE_FLOOR_DEFAULT = 1e-7
+XTOL_DEFAULT = 1e-6  # bracket width at which the bisections stop
 
 
 def _delta_along(family: str, base: np.ndarray, axis_idx: int, xs: np.ndarray) -> np.ndarray:
@@ -300,7 +293,7 @@ def find_zero_crossings(
     lo: float,
     hi: float,
     presample: int = 400,
-    xtol: float = 1e-6,
+    xtol: float = XTOL_DEFAULT,
     noise_floor: float = NOISE_FLOOR_DEFAULT,
 ) -> list[ZeroCrossing]:
     """Sign changes of delta_D along one axis, refined by bisection.
@@ -346,7 +339,7 @@ def surface_zero(
     alpha_lo: float = 1e-3,
     alpha_hi: float = np.pi / 2,
     presample: int = 64,
-    xtol: float = 1e-6,
+    xtol: float = XTOL_DEFAULT,
     noise_floor: float = NOISE_FLOOR_DEFAULT,
 ) -> SurfaceTable:
     """Interior delta_D = 0 point along alpha for each (theta, kappa), as table rows.
@@ -443,7 +436,7 @@ def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAUL
     amps = pure_qubit_batch(psi, nodal)
     dd, _, _, cond_ab, cond_ac = (float(x[0]) for x in pure_scores_batch(amps)[:5])
     lhs, rhs = cond_ab + cond_ac, binary_entropy(float(ggm_batch(amps)[0]))
-    return Prop4Result(lhs, rhs, lhs >= rhs - PROP4_TOL, abs(lhs - rhs), dd, abs(dd) < band)
+    return Prop4Result(lhs, rhs, lhs >= rhs - PROP_TOL, abs(lhs - rhs), dd, abs(dd) < band)
 
 
 # --- CSV ------------------------------------------------------------------------

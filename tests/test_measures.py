@@ -15,7 +15,9 @@ from qmono.measures import (
     conditional_entropy_qubit_batch,
     discord,
     minimize,
+    eof_batch,
     eof_two_qubit,
+    pure_scores_batch,
     unitary_from_angles,
     _minimize_dim4_side,
 )
@@ -175,6 +177,57 @@ class TestEoF:
         expected = -h * np.log2(h) - (1 - h) * np.log2(1 - h)
         assert_allclose(eof_two_qubit(w_marginal()), expected, atol=1e-9)
         assert_allclose(expected, 0.55005, atol=5e-5)
+
+    def test_zero_concurrence_is_negative_zero(self):
+        assert np.signbit(eof_batch([0.0])).all()  # CSVs print the sign of a zero entropy
+
+
+def _mp_eof(mpmath, c2):
+    """E_f = H((1 - sqrt(1 - C^2)) / 2) at the working precision."""
+    p = (1 - mpmath.sqrt(1 - c2)) / 2
+    return -p * mpmath.log(p, 2) - (1 - p) * mpmath.log(1 - p, 2)
+
+
+def _mp_concurrence_sq_ac(mpmath, amps):
+    """Wootters' C^2 of rho_AC from the eigenvalues of rho rho~, B traced out."""
+    psi = [mpmath.mpc(z.real, z.imag) for z in amps]
+    rho = mpmath.matrix(4, 4)
+    for i in range(4):  # i = 2a + c
+        for j in range(4):
+            rho[i, j] = sum(psi[4 * (i // 2) + 2 * b + i % 2] * mpmath.conj(psi[4 * (j // 2) + 2 * b + j % 2])
+                            for b in (0, 1))
+    yy = mpmath.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+    lam = sorted((mpmath.sqrt(abs(mpmath.re(x))) for x in mpmath.eig(rho * yy * rho.conjugate() * yy)[0]),
+                 reverse=True)
+    return max(lam[0] - lam[1] - lam[2] - lam[3], 0) ** 2
+
+
+class TestEoFPrecision:
+    """E_f and the kernel's S(A|B) keep their relative precision as the concurrence goes to 0."""
+
+    def test_eof_batch_against_40_digits(self):
+        # C from 1e-7 up: below C = 6.3e-8, C^2 / 4 is under XLOG_FLOOR and E_f is exactly 0
+        mpmath = pytest.importorskip("mpmath")
+        cs = np.append(np.geomspace(1e-7, 0.999, 200), [1e-2, 0.5, 2 / 3])
+        with mpmath.workdps(40):
+            for c, ef in zip(cs, eof_batch(cs)):
+                want = _mp_eof(mpmath, mpmath.mpf(float(c)) ** 2)
+                assert abs(ef - want) <= 1e-14 * want, c
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_kernel_cond_entropy_near_a_product_marginal(self, eps):
+        # (|000> + |110>) / sqrt 2 leaves rho_AC near rho_A (x) |0><0|, so S(A|B) = E_f(AC) is small
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        base = np.zeros(8, dtype=complex)
+        base[0b000] = base[0b110] = 1 / np.sqrt(2)
+        amps = base + eps * (rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)))
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        cond_ab = pure_scores_batch(amps)[3]
+        with mpmath.workdps(40):
+            for a, got in zip(amps, cond_ab):
+                want = _mp_eof(mpmath, _mp_concurrence_sq_ac(mpmath, a))
+                assert abs(got - want) <= 1e-12 * want
 
 
 class TestMutualInformation:

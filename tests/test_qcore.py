@@ -279,6 +279,19 @@ class TestEntropy:
         assert np.isnan(out[0])
         assert out[1] == 0.0 and out[2] == 0.0 and out[3] == 1.0
         assert np.isnan(binary_entropy(np.nan)) and binary_entropy(1.0) == 0.0
+        # CSVs print the sign of a zero entropy: the ends stay -0.0
+        assert np.signbit([out[1], out[2], binary_entropy(0.0), binary_entropy(1.0)]).all()
+
+    def test_binary_entropy_relative_precision(self):
+        # against 40 digits from p = 2e-15 to 1/2, where 1 - p drops p's low bits
+        mpmath = pytest.importorskip("mpmath")
+        ps = np.append(np.geomspace(2e-15, 0.5, 200), [1e-3, 0.25, 1 / 3, 0.4999])
+        got = binary_entropy(ps)
+        with mpmath.workdps(40):
+            for p, h in zip(ps, got):
+                q = mpmath.mpf(float(p))
+                want = -q * mpmath.log(q, 2) - (1 - q) * mpmath.log(1 - q, 2)
+                assert abs(h - want) <= 1e-14 * want, p
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(21)
