@@ -42,6 +42,7 @@ _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 # states at 2 restarts, 20 sweeps picked a 256-start reference's basin; 50 leave margin.
 _SEESAW_TOL = 1e-9  # stop once no start gains more than this in a sweep
 _SEESAW_MAX_SWEEPS = 50
+MK_RESTARTS_DEFAULT = 100  # random starts of one state's search, ``qmono bell --restarts``
 _PARTIES = np.arange(3)
 _OTHER_Q, _OTHER_R = np.array([1, 0, 0]), np.array([2, 2, 1])  # the parties q < r other than p
 # [w, s, t]: the sign of T(a_q^(s), a_r^(t)) in row w, u (w = 0) or v (w = 1); s, t = 1 is primed.
@@ -82,11 +83,6 @@ class MKSettings:
         n = angles.size // 4
         vecs = bloch_vector(angles[0::2], angles[1::2]).T
         return cls(tuple(vecs[:n]), tuple(vecs[n:]))
-
-    def to_angles(self) -> np.ndarray:
-        v = np.array(self.a + self.a_prime)
-        theta, phi = np.arccos(np.clip(v[:, 2], -1, 1)), np.arctan2(v[:, 1], v[:, 0]) % (2 * np.pi)
-        return np.column_stack([theta, phi]).ravel()
 
 
 def pauli_operator(direction) -> np.ndarray:
@@ -171,7 +167,7 @@ def _negative_mk_and_gradient(xi, maps, vec0, frame):
     return -value, -np.einsum("pij,ijk->pik", grad_w, frame).reshape(-1, 12)
 
 
-def mk_optimize(state, restarts: int = 100, seed: int = 0,
+def mk_optimize(state, restarts: int = MK_RESTARTS_DEFAULT, seed: int = 0,
                 initial: MKSettings | None = None) -> tuple[float, MKSettings]:
     """Maximize |tr(B_3 eta)| over the six measurement directions.
 

@@ -23,12 +23,14 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .bell import mk_optimize
-from .monogamy import delta_d
+from .bell import MK_RESTARTS_DEFAULT, mk_optimize
+from .monogamy import SEARCH_RESTARTS_DEFAULT, delta_d
 from .qcore import load_state
 from .scan import (
     FAMILY_PARAMS,
     MK_MODES,
+    SAMPLE_EPSILON_DEFAULT,
+    SCAN_MK_RESTARTS_DEFAULT,
     XTOL_DEFAULT,
     ZERO_BAND_DEFAULT,
     grid_scan,
@@ -195,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                    "parties are measured together, in dimension 4 at most, so a mixed [3,2,2] "
                    "state has a report at A only")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
-    common(p, restarts=64, restarts_help="random starts of the U(d) search on a measured qutrit or "
-           "qubit pair; pure three-qubit and rank <= 2 three-qubit inputs use closed forms")
+    common(p, restarts=SEARCH_RESTARTS_DEFAULT, restarts_help="random starts of the U(d) search on a "
+           "measured qutrit or qubit pair; pure three-qubit and rank <= 2 three-qubit inputs use closed forms")
     p.set_defaults(func=_cmd_measures)
 
     p = sub.add_parser("scan", help="grid sweep of a state family")
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=ZERO_BAND_DEFAULT, help="zero-band half width")
     p.add_argument("--mk", choices=MK_MODES, default=None)
     p.add_argument("-o", "--output", required=True, help="CSV output path")
-    common(p, restarts=24)
+    common(p, restarts=SCAN_MK_RESTARTS_DEFAULT)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("surface", help="delta_D = 0 surface of the symmetric family")
@@ -226,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mk", choices=["optimize", "skip"], default="skip",
                    help="MK value per point by see-saw search; default skip")
     p.add_argument("-o", "--output", required=True, help="CSV output path")
-    common(p, restarts=24)
+    common(p, restarts=SCAN_MK_RESTARTS_DEFAULT)
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("sample", help="Haar-random sampling experiment")
     p.add_argument("-n", type=int, required=True, help="number of samples")
-    p.add_argument("--epsilon", type=float, default=1e-3, help="zero-band half width")
+    p.add_argument("--epsilon", type=float, default=SAMPLE_EPSILON_DEFAULT, help="zero-band half width")
     p.add_argument("-o", "--output", help="per-sample CSV path")
     p.add_argument("--summary-json", help="write the summary as JSON here")
     common(p)
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bell", help="optimized MK value for one state file")
     p.add_argument("--state", required=True, help="JSON state file")
     p.add_argument("-o", "--output", help="write JSON here instead of stdout")
-    common(p, restarts=100)
+    common(p, restarts=MK_RESTARTS_DEFAULT)
     p.set_defaults(func=_cmd_bell)
 
     return parser
@@ -282,6 +284,8 @@ def _check_options(ns: argparse.Namespace) -> None:
     """Range checks of numeric options, from a flag or a config file alike."""
     if getattr(ns, "restarts", 1) < 1:
         raise SystemExit2(f"--restarts must be >= 1, got {ns.restarts}")
+    if getattr(ns, "seed", 0) < 0:  # numpy's default_rng would reject it without naming the flag
+        raise SystemExit2(f"--seed must be >= 0, got {ns.seed}")
     xtol = getattr(ns, "xtol", 1.0)
     if not (math.isfinite(xtol) and xtol > 0):
         raise SystemExit2(f"--xtol must be finite and > 0, got {xtol}")

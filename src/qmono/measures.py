@@ -251,6 +251,13 @@ def nodal_first(amps, site: int) -> np.ndarray:
     return np.moveaxis(p, site + 1, 1).reshape(-1, 8)
 
 
+def pure_qubit_batch(psi: PureState, nodal: str) -> np.ndarray:
+    """A pure three-qubit state's amplitudes as a (1, 8) batch, the ``nodal`` qubit first."""
+    if not isinstance(psi, PureState) or psi.dims != (2, 2, 2):
+        raise ValueError("requires a pure three-qubit state")
+    return nodal_first(psi.amplitudes, psi.index_of(nodal))
+
+
 _CHUNK = 4096  # states per kernel pass: a (K,) complex column of 64 KB
 
 
@@ -347,10 +354,8 @@ def ggm_batch(amps: np.ndarray) -> np.ndarray:
 
 
 def ggm(psi: PureState) -> float:
-    """GGM of one pure three-qubit state: a batch of one of ``ggm_batch``."""
-    if not isinstance(psi, PureState) or psi.dims != (2, 2, 2):
-        raise ValueError("ggm requires a pure three-qubit state")
-    return float(ggm_batch(psi.amplitudes)[0])
+    """GGM of one pure three-qubit state: a batch of one of ``ggm_batch``, any qubit first."""
+    return float(ggm_batch(pure_qubit_batch(psi, (getattr(psi, "labels", None) or "A")[0]))[0])
 
 
 # --- measured conditional entropy: one Bloch-direction minimizer -------------
@@ -511,6 +516,7 @@ _RANK2_TOL = 1e-12  # dropping a noise eigenvalue e moves entropies by ~e log2(1
 # took 40-300.
 _SEARCH_GRAD_TOL = 1e-6  # a start stops once ||Omega||_F is below this
 _SEARCH_MAX_STEPS = 100  # 4x the steps the basins needed above
+SEARCH_RESTARTS_DEFAULT = 64  # seeded starts of the search, ``qmono measures --restarts``
 
 
 def _basis_objective(r, u):
@@ -590,12 +596,12 @@ def _minimize_dim4_side(matrix, d_keep, restarts, seed):
 
 
 def conditional_entropy_min(
-    rho: DensityMatrix, cut: Bipartition, restarts: int = 64, seed: int = 0
+    rho: DensityMatrix, cut: Bipartition, restarts: int = SEARCH_RESTARTS_DEFAULT, seed: int = 0
 ) -> tuple[float, MeasurementBasis | None]:
     """Minimized measured conditional entropy; measurement on ``cut.side_two``.
 
-    A measured qubit (any kept dimension) is a batch of one of the
-    deterministic grid-and-zoom search behind ``conditional_entropy_qubit_batch``;
+    A measured qubit takes the deterministic grid-and-zoom Bloch search, beside a kept qubit
+    as a batch of one of ``conditional_entropy_qubit_batch``, else on ``_kept_objective``;
     ``restarts`` and ``seed`` do not apply to it, nor to the Koashi-Winter
     closed form (a measured pair, a kept qubit, rank <= 2), whose basis is
     ``None``.  Other measured sides of dimension 3 or 4 take ``restarts``
@@ -605,7 +611,7 @@ def conditional_entropy_min(
     return value, basis
 
 
-def _conditional_entropy_min_traced(rho, cut, restarts=64, seed=0):
+def _conditional_entropy_min_traced(rho, cut, restarts=SEARCH_RESTARTS_DEFAULT, seed=0):
     cut.check_covers(rho.labels)
     ordered = partial_trace(rho, cut.side_one + cut.side_two)  # kept block first
     matrix, d_keep = ordered.matrix, int(np.prod(ordered.dims[: len(cut.side_one)]))

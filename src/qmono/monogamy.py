@@ -25,8 +25,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import measures
-from .measures import concurrence, conditional_entropy_qubit_batch, nodal_first, pure_scores_batch
-from .measures import discord  # noqa: F401  (bench/spans.py wraps this name)
+from .measures import concurrence, conditional_entropy_qubit_batch, pure_qubit_batch, pure_scores_batch
+from .measures import SEARCH_RESTARTS_DEFAULT, discord  # noqa: F401  (bench/spans.py wraps discord)
 from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
 
 ZERO_BAND_DEFAULT = 1e-4  # |delta_D| below this counts as "vanishing score"
@@ -75,20 +75,13 @@ class MonogamyReport:
         return json.dumps(self.to_dict(), indent=1)
 
 
-def _require_three_parties(state):
+def _three_parties(state, nodal: str) -> tuple[DensityMatrix, tuple[str, ...]]:
+    """A three-party ``state`` with a party ``nodal`` as a ``DensityMatrix``, and its other two labels."""
     if len(state.dims) != 3:
         raise ValueError("expected a three-party state")
-
-
-def _as_density(state) -> DensityMatrix:
-    return state.density() if isinstance(state, PureState) else state
-
-
-def pure_qubit_batch(psi: PureState, nodal: str) -> np.ndarray:
-    """A pure three-qubit state's amplitudes as a (1, 8) batch, the ``nodal`` qubit first."""
-    if not isinstance(psi, PureState) or psi.dims != (2, 2, 2):
-        raise ValueError("requires a pure three-qubit state")
-    return nodal_first(psi.amplitudes, psi.index_of(nodal))
+    state.index_of(nodal)  # an unknown label raises here
+    rho = state.density() if isinstance(state, PureState) else state
+    return rho, tuple(l for l in rho.labels if l != nodal)
 
 
 def _entropy_table(rho: DensityMatrix, nodal: str, pure: bool):
@@ -107,7 +100,7 @@ def _entropy_table(rho: DensityMatrix, nodal: str, pure: bool):
     return table, lambda *labels: s[frozenset(labels)]
 
 
-def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> MonogamyReport:
+def delta_d(state, nodal: str, *, restarts: int = SEARCH_RESTARTS_DEFAULT, seed: int = 0) -> MonogamyReport:
     """Full discord-monogamy report for one state and nodal choice.
 
     Each S(A|X) comes from the source the module docstring names; a pure
@@ -117,11 +110,8 @@ def delta_d(state, nodal: str, *, restarts: int = 64, seed: int = 0) -> Monogamy
     measures the two other parties together, in dimension 2, 3 or 4 only: a mixed
     [3, 2, 2] state has a report at nodal A, and ValueError at B or C.
     """
-    _require_three_parties(state)
-    rho = _as_density(state)
+    rho, others = _three_parties(state, nodal)
     pure = isinstance(state, PureState) or rho.is_pure()
-    rho.index_of(nodal)  # an unknown label raises here
-    others = tuple(l for l in rho.labels if l != nodal)
     cuts = [Bipartition((nodal,), x) for x in (others, others[:1], others[1:])]  # A:BC, AB, AC
     table, entropy = _entropy_table(rho, nodal, pure)
     cond_a_bc, kernel, gap = 0.0, "pure", None
@@ -200,9 +190,7 @@ def cond_entropy_bounds(psi, nodal: str) -> tuple[float, float]:
     lower = max[S_A - S_AB, S_B - S_AB, 0] + max[S_A - S_AC, S_C - S_AC, 0],
     read from the single-site entropies: S_AB = S_C and S_AC = S_B.
     """
-    _require_three_parties(psi)
-    rho = _as_density(psi)
+    rho, others = _three_parties(psi, nodal)
     if not rho.is_pure():
         raise ValueError("cond_entropy_bounds requires a pure state")
-    rho.index_of(nodal)  # an unknown label raises here
-    return _bracket(_entropy_table(rho, nodal, True)[1], nodal, *(l for l in rho.labels if l != nodal))
+    return _bracket(_entropy_table(rho, nodal, True)[1], nodal, *others)

@@ -23,6 +23,8 @@ INPUT_TOL = 1e-10  # (28,871 matrices Hermitian to 2.2e-16); admits 11-digit fil
 PURITY_TOL = 1e-10  # at purity 1 - 1e-10 the neglected spectrum moves an entropy by ~2e-9
 PSD_TOL = 1e-9  # their eigenvalues are >= -4.6e-16; 1e-10 entry errors move one by <= 1.6e-9 (d = 16)
 NORM_TOL = 4 * np.finfo(float).eps  # normalized vectors: |norm - 1| <= 2 eps (2e5 Haar, 4-16 amplitudes)
+# A shorter vector is the zero vector, for PureState and family_states alike: an amplitude summed from
+ZERO_NORM = 1e-12  # O(1) terms rounds by ~1e-16 (ghz's zero point: 1.4e-16), off by > 1e-4 once normalized
 XLOG_FLOOR = 1e-15  # x log2 x is 0 at and below this (<= 5e-14 bits), so E_f is 0 below C = 6.3e-8
 
 
@@ -66,7 +68,7 @@ class PureState(_Parties):
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
-        if norm < 1e-14:
+        if norm < ZERO_NORM:
             raise ValueError("cannot normalize the zero vector")
         if abs(norm - 1.0) > NORM_TOL:  # a normalized vector keeps its bits
             amps = amps / norm

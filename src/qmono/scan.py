@@ -27,14 +27,17 @@ from itertools import chain
 import numpy as np
 
 from .bell import mk_optimize, mk_symmetric_closed_form
-from .measures import _CHUNK, eof_batch, ggm_batch, pure_scores_batch  # bench/spans.py wraps the last two
+from .measures import _CHUNK, eof_batch, pure_qubit_batch
+from .measures import ggm_batch, pure_scores_batch  # bench/spans.py wraps both
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
-from .monogamy import PROP_TOL, ZERO_BAND_DEFAULT, pure_qubit_batch
+from .monogamy import PROP_TOL, ZERO_BAND_DEFAULT
 from .qcore import PureState, binary_entropy
 from .states import FAMILY_PARAMS, family_states, haar_random_amplitudes  # the last two timed by bench/spans.py
 from .states import symmetric_concurrence_closed_form
 
 MK_MODES = ("closed", "optimize", "skip")
+SCAN_MK_RESTARTS_DEFAULT = 24  # mk_optimize's random starts per scan or path point
+SAMPLE_EPSILON_DEFAULT = 1e-3  # the Haar sample's zero-band half width
 
 
 # --- result types -------------------------------------------------------------
@@ -145,7 +148,7 @@ def grid_scan(
     axes,
     epsilon: float = ZERO_BAND_DEFAULT,
     mk_mode: str | None = None,
-    mk_restarts: int = 24,
+    mk_restarts: int = SCAN_MK_RESTARTS_DEFAULT,
     seed: int = 0,
 ) -> ScanTable:
     """One row per grid point, row-major over the axes as listed.
@@ -372,7 +375,7 @@ def surface_zero(
 def sample_experiment(
     n: int,
     seed: int,
-    epsilon: float = 1e-3,
+    epsilon: float = SAMPLE_EPSILON_DEFAULT,
     per_sample_path=None,
 ) -> SampleSummary:
     """Haar-sample delta_D and GGM; band statistics with |delta_D| < epsilon.
@@ -405,38 +408,37 @@ def path_trace(
     path_id: str,
     resolution: int,
     epsilon: float = ZERO_BAND_DEFAULT,
-    mk_mode: str = "optimize",
-    mk_restarts: int = 24,
+    mk_mode: str = "skip",
+    mk_restarts: int = SCAN_MK_RESTARTS_DEFAULT,
     seed: int = 0,
 ) -> ScanTable:
-    """Evenly spaced trace of one interpolation path, with optional MK search.
+    """``resolution`` evenly spaced points of path "ghz" or "w-ghz", a one-axis ``grid_scan``.
 
-    MK values come from the settings optimizer (warm-started point to point),
-    so any fixed-settings curve lies at or below the one traced here.
+    ``mk_mode`` "skip" (default) leaves ``mk`` None; MK values of "optimize" come from the
+    settings optimizer (warm-started point to point), so any fixed-settings curve lies at
+    or below the one traced here.  ``grid_scan`` rejects any other mode.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     family = {"ghz": "path-ghz", "w-ghz": "path-w-ghz"}.get(path_id, path_id)
     if family not in ("path-ghz", "path-w-ghz"):
         raise ValueError(f"unknown path {path_id!r}")
-    if mk_mode not in ("optimize", "skip"):
-        raise ValueError("mk_mode must be 'optimize' or 'skip' for paths")
     axis = (FAMILY_PARAMS[family][0], np.linspace(0.0, np.pi / 2, resolution))
     return grid_scan(family, [axis], epsilon, mk_mode, mk_restarts, seed)
 
 
-def prop4_check(psi: PureState, nodal: str = "A", band: float = ZERO_BAND_DEFAULT) -> Prop4Result:
+def prop4_check(psi: PureState, nodal: str = "A") -> Prop4Result:
     """E^f(AB) + E^f(AC) >= H(GGM) with equality for symmetric states.
 
-    Scoped to vanishing-score states: ``precondition_met`` records whether
-    |delta_D| < band; outside the band the inequality is reported but carries
-    no claim.  A batch of one of the pure three-qubit kernels: by Koashi-Winter
-    lhs = S(A|C) + S(A|B) and delta_D = S_nodal - lhs.
+    Scoped to vanishing-score states: ``precondition_met`` records whether |delta_D| <
+    ``ZERO_BAND_DEFAULT``; outside it the inequality is reported but carries no claim, and
+    ``satisfied`` allows ``PROP_TOL``.  A batch of one of the pure three-qubit kernels: by
+    Koashi-Winter lhs = S(A|C) + S(A|B) and delta_D = S_nodal - lhs.
     """
     amps = pure_qubit_batch(psi, nodal)
     dd, _, _, cond_ab, cond_ac = (float(x[0]) for x in pure_scores_batch(amps)[:5])
     lhs, rhs = cond_ab + cond_ac, binary_entropy(float(ggm_batch(amps)[0]))
-    return Prop4Result(lhs, rhs, lhs >= rhs - PROP_TOL, abs(lhs - rhs), dd, abs(dd) < band)
+    return Prop4Result(lhs, rhs, lhs >= rhs - PROP_TOL, abs(lhs - rhs), dd, abs(dd) < ZERO_BAND_DEFAULT)
 
 
 # --- CSV ------------------------------------------------------------------------

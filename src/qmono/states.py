@@ -6,10 +6,17 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .qcore import PureState
+from .qcore import ZERO_NORM, PureState
 
 _LABELS = ("A", "B", "C")
 _RANGE_SLACK = 1e-12  # a range end computed in floats misses it by ulps: 25 * (pi / 100) > pi / 4
+_RANGE_ENDS = {"pi/4": np.pi / 4, "pi/2": np.pi / 2, "2pi": 2 * np.pi}
+
+
+def _check_range(name: str, value: float, end: str) -> None:
+    """Reject ``value`` outside [0, ``end``], both ends widened by ``_RANGE_SLACK``."""
+    if not (-_RANGE_SLACK <= value <= _RANGE_ENDS[end] + _RANGE_SLACK):  # NaN fails too
+        raise ValueError(f"{name}={value} outside [0, {end}]")
 
 
 @dataclass(frozen=True)
@@ -29,15 +36,11 @@ class GHZClassParams:
     degenerate: bool = False
 
     def __post_init__(self):
-        eps = _RANGE_SLACK
-        if not (-eps <= self.theta <= np.pi / 4 + eps):
-            raise ValueError(f"theta={self.theta} outside [0, pi/4]")
-        if not (-eps <= self.kappa <= 2 * np.pi + eps):
-            raise ValueError(f"kappa={self.kappa} outside [0, 2pi]")
+        _check_range("theta", self.theta, "pi/4")
+        _check_range("kappa", self.kappa, "2pi")
         for a in self.alphas:
-            if not (-eps <= a <= np.pi / 2 + eps):
-                raise ValueError(f"alpha={a} outside [0, pi/2]")
-        on_face = self.theta <= eps or any(a <= eps for a in self.alphas)
+            _check_range("alpha", a, "pi/2")
+        on_face = self.theta <= _RANGE_SLACK or any(a <= _RANGE_SLACK for a in self.alphas)
         if on_face and not self.degenerate:
             raise ValueError(
                 "theta = 0 or alpha_j = 0 is a degenerate face; pass degenerate=True"
@@ -114,15 +117,13 @@ PATH_W_ENDPOINT = WClassParams(3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
 
 def path_ghz(mu: float) -> PureState:
     """cos(mu) |endpoint> + sin(mu) |GHZ| for mu in [0, pi/2]."""
-    if not (0.0 <= mu <= np.pi / 2 + _RANGE_SLACK):
-        raise ValueError(f"mu={mu} outside [0, pi/2]")
+    _check_range("mu", mu, "pi/2")
     return _family_state("path-ghz", (mu,))
 
 
 def path_w_ghz(tau: float) -> PureState:
     """cos(tau) |W-class endpoint> + sin(tau) |GHZ| for tau in [0, pi/2]."""
-    if not (0.0 <= tau <= np.pi / 2 + _RANGE_SLACK):
-        raise ValueError(f"tau={tau} outside [0, pi/2]")
+    _check_range("tau", tau, "pi/2")
     return _family_state("path-w-ghz", (tau,))
 
 
@@ -182,7 +183,7 @@ def family_states(family: str, rows) -> np.ndarray:
         mu = rows[:, 0]
         amps = np.cos(mu)[:, None] * end[None, :] + np.sin(mu)[:, None] * ghz[None, :]
     norms = np.linalg.norm(amps, axis=1)
-    zero = norms < 1e-12
+    zero = norms < ZERO_NORM
     if np.any(zero):
         bad = rows[zero][0]
         raise ValueError(f"family {family!r} parameters {tuple(bad)} give the zero vector")

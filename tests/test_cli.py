@@ -339,6 +339,39 @@ class TestRestartsUsageError:
         assert_allclose(json.loads(capsys.readouterr().out)["mk_value"], 2.0, atol=1e-9)
 
 
+class TestSeedUsageError:
+    """A negative --seed is a usage error on every subcommand that takes one, before numpy
+    sees it, also where nothing random runs (a pure state's report, closed-form MK)."""
+
+    @pytest.fixture
+    def commands(self, ghz_file, tmp_path):
+        out = str(tmp_path / "out.csv")
+        return [
+            ["measures", "--state", ghz_file],
+            ["scan", "--family", "ghz-sym", "--mk", "closed", "--axis", "theta=0.3",
+             "--axis", "kappa=0", "--axis", "alpha=1", "-o", out],
+            ["path", "--id", "ghz", "--mk", "optimize", "--resolution", "2", "-o", out],
+            ["sample", "-n", "3"],
+            ["bell", "--state", ghz_file],
+        ]
+
+    def test_flag(self, commands, tmp_path, capsys):
+        for argv in commands:
+            assert main(argv + ["--seed", "-1"]) == 2
+            assert capsys.readouterr() == ("", "qmono: --seed must be >= 0, got -1\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_config_file(self, commands, tmp_path, capsys):
+        conf = tmp_path / "conf"
+        conf.write_text("seed = -5\n")
+        for argv in commands:
+            assert main(argv + ["--config", str(conf)]) == 2
+            assert capsys.readouterr() == ("", "qmono: --seed must be >= 0, got -5\n")
+
+    def test_seed_zero_runs(self, capsys):
+        assert main(["sample", "-n", "3", "--seed", "0"]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

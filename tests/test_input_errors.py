@@ -8,9 +8,9 @@ import pytest
 from qmono.bell import MKSettings
 from qmono.cli import main
 from qmono.measures import DiscordResult, MeasurementBasis, OptimizerTrace, ggm, unitary_from_angles
-from qmono.monogamy import delta_d
+from qmono.monogamy import delta_c, delta_d
 from qmono.qcore import DensityMatrix, PureState, state_to_dict
-from qmono.scan import find_zero_crossings, grid_scan, path_trace, sample_experiment
+from qmono.scan import find_zero_crossings, grid_scan, path_trace, prop4_check, sample_experiment
 from qmono.states import GHZClassParams, family_states
 
 Z, X = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
@@ -27,7 +27,7 @@ LIBRARY = {
         lambda: DiscordResult(1.0, 0.5, 0.0, 0.0, None, OptimizerTrace(0, 0.0, "pure")), "discord != I - J",
     ),
     "unitary-angle-count": (lambda: unitary_from_angles(np.zeros(11)), "expected 12 angles"),
-    "ggm-two-qubits": (lambda: ggm(PureState([1, 0, 0, 1], (2, 2))), "ggm requires a pure three-qubit state"),
+    "ggm-two-qubits": (lambda: ggm(PureState([1, 0, 0, 1], (2, 2))), "requires a pure three-qubit state"),
     "delta-d-two-parties": (lambda: delta_d(PureState([1, 0, 0, 1], (2, 2)), "A"), "expected a three-party state"),
     "pure-zero-vector": (lambda: PureState(np.zeros(8), (2, 2, 2)), "cannot normalize the zero vector"),
     "density-shape": (lambda: DensityMatrix(np.eye(3) / 3, (2,)), "matrix shape (3, 3) does not match dims (2,)"),
@@ -44,7 +44,9 @@ LIBRARY = {
         "axis 'beta' not a parameter of 'ghz-sym'",
     ),
     "sample-none": (lambda: sample_experiment(0, seed=1), "need n >= 1"),
-    "path-mk-mode": (lambda: path_trace("ghz", 5, mk_mode="closed"), "mk_mode must be 'optimize' or 'skip' for paths"),
+    "path-mk-mode": (
+        lambda: path_trace("ghz", 5, mk_mode="closed"), "closed-form MK is defined for the ghz-sym family only",
+    ),
     "ghz-alpha-range": (lambda: GHZClassParams(0.3, 1.0, 0.5, 2.0, 0.5), "alpha=2.0 outside [0, pi/2]"),
     "family-row-width": (lambda: family_states("ghz", [[0.1, 0.2]]), "family 'ghz' takes 5 parameters per row"),
 }
@@ -55,6 +57,18 @@ def test_library_rejects(case):
     call, message = LIBRARY[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [PureState([1, 0, 0, 1], (2, 2)), PureState([1.0], ()), DensityMatrix(np.eye(8) / 8, (2, 2, 2)), np.eye(8)[0]],
+    ids=["two-qubits", "no-parties", "mixed", "array"],
+)
+def test_pure_three_qubit_rule_is_one_check(state):
+    """``ggm``, ``delta_c`` and ``prop4_check`` reject a state that is not pure three-qubit alike."""
+    for call in (lambda: ggm(state), lambda: delta_c(state, "A"), lambda: prop4_check(state)):
+        with pytest.raises(ValueError, match="^requires a pure three-qubit state$"):
+            call()
 
 
 def _config_without_equals(tmp_path):

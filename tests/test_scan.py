@@ -471,6 +471,9 @@ class TestPathTrace:
         assert table.mk is not None and np.all(table.mk > 0.5)
         assert_allclose(table.mk[-1], 2.0, atol=1e-3)
 
+    def test_mk_skipped_by_default(self):
+        assert path_trace("ghz", 3).mk is None  # as ``qmono path`` without --mk
+
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
             path_trace("ghz", 1)

@@ -3,12 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qmono.measures import concurrence
-from qmono.qcore import partial_trace
+from qmono.qcore import ZERO_NORM, PureState, partial_trace
 from qmono.states import (
     GHZClassParams,
     PATH_GHZ_ENDPOINT,
     PATH_W_ENDPOINT,
     WClassParams,
+    family_states,
     ghz_class,
     ghz_state,
     haar_random,
@@ -188,3 +189,39 @@ class TestHaar:
             r = m @ m.conj().T
             total += float(np.trace(r @ r).real)
         assert abs(total / n - purity.mean()) < 2e-2
+
+
+@pytest.mark.parametrize(
+    "build",
+    [path_ghz, path_w_ghz, lambda x: GHZClassParams(0.3, 1.0, x, 0.5, 0.5, degenerate=True)],
+    ids=["path-ghz", "path-w-ghz", "ghz-alpha"],
+)
+def test_one_range_slack(build):
+    """Every [0, pi/2] parameter takes the same slack at both ends: 1e-13 out is a range end
+    computed in floats, 1e-11 out is outside."""
+    for x in (-1e-13, np.pi / 2 + 1e-13):
+        build(x)
+    for x in (-1e-11, np.pi / 2 + 1e-11):
+        with pytest.raises(ValueError, match=r"=.* outside \[0, pi/2\]$"):
+            build(x)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_one_zero_norm(factor):
+    """PureState and family_states call a vector the zero vector below the same norm.  At
+    kappa = pi and alpha_j = 0 the ghz family's one amplitude is cos(theta) - sin(theta),
+    about sqrt(2) (pi/4 - theta), so theta sets the norm just inside or outside ZERO_NORM."""
+    theta = np.pi / 4 - factor * ZERO_NORM / np.sqrt(2)
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = np.cos(theta) + np.exp(1j * np.pi) * np.sin(theta)  # family_states' unnormalized |000>
+    is_zero = abs(amps[0]) < ZERO_NORM
+    assert is_zero == (factor < 1)
+    for build in (
+        lambda: family_states("ghz", [[theta, np.pi, 0.0, 0.0, 0.0]])[0],
+        lambda: PureState(amps, (2, 2, 2)).amplitudes,
+    ):
+        if is_zero:
+            with pytest.raises(ValueError, match="zero vector"):
+                build()
+        else:
+            assert_allclose(abs(build()[0]), 1.0, atol=1e-15)
