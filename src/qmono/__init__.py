@@ -8,6 +8,7 @@ from .qcore import (
     Bipartition,
     DensityMatrix,
     PureState,
+    UsageError,
     binary_entropy,
     load_state,
     partial_trace,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, minimize, row_norm, tangent_frame
-from .qcore import INPUT_TOL, DensityMatrix, PureState
+from .qcore import INPUT_TOL, DensityMatrix, PureState, check_arg
 
 _MAX_PARTIES = 6
 _PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -109,15 +109,16 @@ def mk_operator(settings: MKSettings) -> np.ndarray:
 
 
 def _density_matrix(state, n_qubits: int) -> np.ndarray:
-    """The state as a 2^n x 2^n matrix; a pure state becomes |psi><psi|."""
+    """The state as a 2^n x 2^n matrix; a pure state becomes |psi><psi|.  A raw array is
+    checked first, as an n-qubit ``PureState`` (1-D) or ``DensityMatrix`` (otherwise)."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        arr = np.asarray(state)
+        state = (PureState if arr.ndim == 1 else DensityMatrix)(arr, (2,) * n_qubits)
     if isinstance(state, PureState):
         state = state.density()
-    arr = np.asarray(state.matrix if isinstance(state, DensityMatrix) else state, dtype=complex)
-    if arr.ndim == 1:
-        arr = np.outer(arr, arr.conj())
-    if arr.shape != (2**n_qubits,) * 2:
-        raise ValueError(f"state of shape {arr.shape} is not a {n_qubits}-qubit state")
-    return arr
+    if state.matrix.shape != (2**n_qubits,) * 2:
+        raise ValueError(f"state of shape {state.matrix.shape} is not a {n_qubits}-qubit state")
+    return state.matrix
 
 
 def mk_expectation(state, settings: MKSettings) -> float:
@@ -186,11 +187,12 @@ def mk_optimize(state, restarts: int = MK_RESTARTS_DEFAULT, seed: int = 0,
     stops: across summation orders they reproduce to about 1e-7, the value to rounding.
     For a fixed seed the starts of k restarts are the first k of any larger
     count, and a larger set sweeps at least as long, so the value does not
-    fall as ``restarts`` grows (up to the polish).  No start: ValueError.
+    fall as ``restarts`` grows (up to the polish).  No start (``restarts`` < 1 without
+    ``initial``) and a negative ``seed`` are ``UsageError``.
     """
+    check_arg("restarts", restarts, 1 if initial is None else 0)
+    check_arg("seed", seed, 0)
     rho = _density_matrix(state, 3)
-    if restarts < 0 or (restarts == 0 and initial is None):
-        raise ValueError(f"mk_optimize needs a start: restarts={restarts} and no initial settings")
     starts = np.random.default_rng(seed).standard_normal((restarts, 2, 3, 3))
     if initial is not None:
         starts = np.concatenate([[[initial.a, initial.a_prime]], starts])

@@ -7,8 +7,10 @@ its dashes, with '_' or '-' between words (``summary_json``); a one-letter
 key is the short flag (``n = 5`` is ``-n 5``), and a repeated key is a
 repeated flag (one ``axis = ...`` line per axis).  Values are checked like
 flags, required options included, and flags on the command line win.
-Exit codes: 0 success, 1 numeric failure or a state file that cannot be read
-or is not a state (``qcore``'s state-file format), 2 usage error.
+The CLI only parses; each range rule of a value belongs to the library function
+that uses it.  Exit codes: 0 success; 1 numeric failure or a state file that
+cannot be read or is not a state (``qcore``'s state-file format); 2: a usage
+error, raised by the parser or by the library's ``UsageError``.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ import numpy as np
 from . import __version__
 from .bell import MK_RESTARTS_DEFAULT, mk_optimize
 from .monogamy import SEARCH_RESTARTS_DEFAULT, delta_d
-from .qcore import load_state
+from .qcore import UsageError, load_state
 from .scan import (
-    FAMILY_PARAMS,
     MK_MODES,
     SAMPLE_EPSILON_DEFAULT,
     SCAN_MK_RESTARTS_DEFAULT,
@@ -39,6 +40,7 @@ from .scan import (
     surface_zero,
     write_csv,
 )
+from .states import FAMILY_PARAMS
 
 
 def parse_config_file(path: str) -> list[tuple[str, str]]:
@@ -51,32 +53,28 @@ def parse_config_file(path: str) -> list[tuple[str, str]]:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit2(f"{path}:{lineno}: expected 'key = value'")
+                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
             out.append((key, value))
     return out
-
-
-class SystemExit2(Exception):
-    """Usage error carried to the exit-code mapping."""
 
 
 def _axis_values(spec: str) -> np.ndarray:
     """Parse 'start:stop:count' (inclusive linspace) or a single value."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
-        raise SystemExit2(f"axis spec {spec!r} is not 'value' or 'start:stop:count'")
+        raise UsageError(f"axis spec {spec!r} is not 'value' or 'start:stop:count'")
     try:
         ends = [float(p) for p in parts[:2]]
         count = int(parts[2]) if len(parts) == 3 else 1
     except ValueError:
-        raise SystemExit2(
+        raise UsageError(
             f"axis spec {spec!r} needs numbers for value, start and stop and an integer count"
         ) from None
     if not all(map(math.isfinite, ends)):
-        raise SystemExit2(f"axis spec {spec!r} has a value that is not finite")
+        raise UsageError(f"axis spec {spec!r} has a value that is not finite")
     if count < 1:
-        raise SystemExit2(f"axis count must be >= 1 in {spec!r}")
+        raise UsageError(f"axis count must be >= 1 in {spec!r}")
     return np.linspace(ends[0], ends[-1], count)
 
 
@@ -94,28 +92,17 @@ def _write_or_print(text: str, path) -> None:
 
 def _cmd_measures(ns) -> int:
     state = load_state(ns.state)
-    if ns.nodal not in state.labels:
-        raise SystemExit2(f"--nodal {ns.nodal!r} is not a party of the state {list(state.labels)}")
     report = delta_d(state, ns.nodal, seed=ns.seed, restarts=ns.restarts)
     _write_or_print(report.to_json(), ns.output)
     return 0
 
 
 def _cmd_scan(ns) -> int:
-    names = FAMILY_PARAMS[ns.family]
-    if ns.mk == "closed" and ns.family != "ghz-sym":
-        raise SystemExit2("--mk closed is defined for the ghz-sym family only")
     malformed = [kv for kv in ns.axis if "=" not in kv]
     if malformed:
-        raise SystemExit2(f"--axis {malformed[0]!r} is not NAME=SPEC")
-    specs = dict(kv.split("=", 1) for kv in ns.axis)
-    unknown = set(specs) - set(names)
-    if unknown:
-        raise SystemExit2(f"unknown axis {sorted(unknown)} for family {ns.family!r}")
-    missing = set(names) - set(specs)
-    if missing:
-        raise SystemExit2(f"missing axis {sorted(missing)} for family {ns.family!r}")
-    axes = [(n, _axis_values(specs[n])) for n in names]
+        raise UsageError(f"--axis {malformed[0]!r} is not NAME=SPEC")
+    specs = dict(kv.split("=", 1) for kv in ns.axis)  # a repeated axis: the last one wins
+    axes = [(n, _axis_values(spec)) for n, spec in specs.items()]
     table = grid_scan(
         ns.family, axes, epsilon=ns.epsilon, mk_mode=ns.mk,
         mk_restarts=ns.restarts, seed=ns.seed,
@@ -133,8 +120,6 @@ def _cmd_surface(ns) -> int:
 
 
 def _cmd_path(ns) -> int:
-    if ns.resolution < 2:
-        raise SystemExit2(f"--resolution must be >= 2, got {ns.resolution}")
     table = path_trace(
         ns.id, ns.resolution, epsilon=ns.epsilon, mk_mode=ns.mk,
         mk_restarts=ns.restarts, seed=ns.seed,
@@ -146,8 +131,6 @@ def _cmd_path(ns) -> int:
 
 
 def _cmd_sample(ns) -> int:
-    if ns.n < 1:
-        raise SystemExit2(f"-n must be >= 1, got {ns.n}")
     summary = sample_experiment(ns.n, ns.seed, epsilon=ns.epsilon, per_sample_path=ns.output)
     print(
         f"n={summary.n} seed={summary.seed} epsilon={summary.epsilon:g} "
@@ -269,49 +252,27 @@ def _with_config_flags(argv: list[str]) -> list[str]:
     try:
         pairs = parse_config_file(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit2(f"cannot read config file {path!r}: {exc}") from None
+        raise UsageError(f"cannot read config file {path!r}: {exc}") from None
     tokens = []
     for key, value in pairs:
         if key in ("help", "config"):
-            raise SystemExit2(f"config key {key!r} is not an option")
+            raise UsageError(f"config key {key!r} is not an option")
         dashes = "-" if len(key) == 1 else "--"
         tokens.append(f"{dashes}{key.replace('_', '-')}={value}")
     i = next((i for i, arg in enumerate(argv) if not arg.startswith("-")), len(argv))
     return argv[: i + 1] + tokens + argv[i + 1 :]
 
 
-def _check_options(ns: argparse.Namespace) -> None:
-    """Range checks of numeric options, from a flag or a config file alike."""
-    if getattr(ns, "restarts", 1) < 1:
-        raise SystemExit2(f"--restarts must be >= 1, got {ns.restarts}")
-    if getattr(ns, "seed", 0) < 0:  # numpy's default_rng would reject it without naming the flag
-        raise SystemExit2(f"--seed must be >= 0, got {ns.seed}")
-    xtol = getattr(ns, "xtol", 1.0)
-    if not (math.isfinite(xtol) and xtol > 0):
-        raise SystemExit2(f"--xtol must be finite and > 0, got {xtol}")
-    epsilon = getattr(ns, "epsilon", 0.0)
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise SystemExit2(f"--epsilon must be finite and >= 0, got {epsilon}")
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = build_parser().parse_args(_with_config_flags(argv))
-    except SystemExit2 as exc:
-        print(f"qmono: {exc}", file=sys.stderr)
-        return 2
+        return ns.func(ns)
     except SystemExit as exc:  # argparse --help/--version or usage error
         return int(exc.code or 0)
-    try:
-        _check_options(ns)
-        return ns.func(ns)
-    except SystemExit2 as exc:
-        print(f"qmono: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"qmono: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from .qcore import (
     PureState,
     XLOG_FLOOR,
     binary_entropy,
+    check_arg,
     partial_trace,
     vn_entropy,
     xlog2x,
@@ -561,8 +562,6 @@ def _minimize_dim4_side(matrix, d_keep, restarts, seed):
     with its own step length (doubled on Armijo success, else halved).  ``minimize`` then
     polishes the best in the Cayley chart around it, on the d * d real coordinates of X.
     """
-    if restarts < 1:
-        raise ValueError(f"the U(d) search needs restarts >= 1, got {restarts}")
     d = matrix.shape[0] // d_keep
     r = matrix.reshape(d_keep, d, d_keep, d)
     u = np.linalg.qr(np.random.default_rng(seed).standard_normal((restarts, d, d, 2)) @ [1, 1j])[0]
@@ -605,13 +604,16 @@ def conditional_entropy_min(
     ``restarts`` and ``seed`` do not apply to it, nor to the Koashi-Winter
     closed form (a measured pair, a kept qubit, rank <= 2), whose basis is
     ``None``.  Other measured sides of dimension 3 or 4 take ``restarts``
-    seeded starts of the U(d) search; larger ones raise ValueError.
+    seeded starts of the U(d) search; larger ones raise ValueError.  ``restarts`` < 1 and
+    ``seed`` < 0 are ``UsageError`` whatever the path.
     """
     value, basis, _ = _conditional_entropy_min_traced(rho, cut, restarts, seed)
     return value, basis
 
 
 def _conditional_entropy_min_traced(rho, cut, restarts=SEARCH_RESTARTS_DEFAULT, seed=0):
+    check_arg("restarts", restarts, 1)
+    check_arg("seed", seed, 0)
     cut.check_covers(rho.labels)
     ordered = partial_trace(rho, cut.side_one + cut.side_two)  # kept block first
     matrix, d_keep = ordered.matrix, int(np.prod(ordered.dims[: len(cut.side_one)]))

@@ -27,7 +27,7 @@ import numpy as np
 from . import measures
 from .measures import concurrence, conditional_entropy_qubit_batch, pure_qubit_batch, pure_scores_batch
 from .measures import SEARCH_RESTARTS_DEFAULT, discord  # noqa: F401  (bench/spans.py wraps discord)
-from .qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
+from .qcore import Bipartition, DensityMatrix, PureState, check_arg, partial_trace, vn_entropy
 
 ZERO_BAND_DEFAULT = 1e-4  # |delta_D| below this counts as "vanishing score"
 # Prop 1's slack and Prop 4's lhs - rhs are >= -PROP_TOL.  A state placed on delta_D = 0 misses
@@ -108,8 +108,11 @@ def delta_d(state, nodal: str, *, restarts: int = SEARCH_RESTARTS_DEFAULT, seed:
     and ``seed`` go to the searches.  A mixed input's A:BC search gives
     ``D_A_BC_kernel`` and ``D_A_BC_gap`` and flags the report heuristic.  That search
     measures the two other parties together, in dimension 2, 3 or 4 only: a mixed
-    [3, 2, 2] state has a report at nodal A, and ValueError at B or C.
+    [3, 2, 2] state has a report at nodal A, and ValueError at B or C.  ``restarts`` < 1,
+    ``seed`` < 0 and an unknown ``nodal`` are ``UsageError``, whatever the source.
     """
+    check_arg("restarts", restarts, 1)
+    check_arg("seed", seed, 0)
     rho, others = _three_parties(state, nodal)
     pure = isinstance(state, PureState) or rho.is_pure()
     cuts = [Bipartition((nodal,), x) for x in (others, others[:1], others[1:])]  # A:BC, AB, AC

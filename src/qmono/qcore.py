@@ -13,6 +13,7 @@ threads.  Entropies are in base 2 (bits).
 from __future__ import annotations
 
 import json
+import math
 import string
 from dataclasses import dataclass, field
 
@@ -26,6 +27,20 @@ NORM_TOL = 4 * np.finfo(float).eps  # normalized vectors: |norm - 1| <= 2 eps (2
 # A shorter vector is the zero vector, for PureState and family_states alike: an amplitude summed from
 ZERO_NORM = 1e-12  # O(1) terms rounds by ~1e-16 (ghz's zero point: 1.4e-16), off by > 1e-4 once normalized
 XLOG_FLOOR = 1e-15  # x log2 x is 0 at and below this (<= 5e-14 bits), so E_f is 0 below C = 6.3e-8
+
+
+class UsageError(ValueError):
+    """A bad argument value, raised by the function that uses it: a count, seed, tolerance, mode,
+    family, axis, path or party label outside its rule (``qmono`` exits 2).  A state that is not a
+    state (a malformed file, a matrix that is not PSD, a two-qubit state where three are needed)
+    and a family point that gives the zero vector are plain ``ValueError``: numeric failures (exit 1)."""
+
+
+def check_arg(name: str, value, least, *, strict: bool = False, finite: bool = False) -> None:
+    """Raise ``UsageError`` unless ``value`` >= ``least`` (> with ``strict``), and finite with ``finite``."""
+    if not ((value > least if strict else value >= least) and (not finite or math.isfinite(value))):
+        rule = ("finite and " if finite else "") + (">" if strict else ">=")
+        raise UsageError(f"{name} must be {rule} {least}, got {value}")
 
 
 class _Parties:
@@ -49,7 +64,7 @@ class _Parties:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise ValueError(f"unknown party label {label!r}") from None
+            raise UsageError(f"unknown party label {label!r}; the parties are {list(self.labels)}") from None
 
 
 @dataclass(frozen=True)

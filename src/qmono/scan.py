@@ -14,8 +14,8 @@ output here.  ``grid_scan`` (and ``path_trace``, a one-axis grid) and
 the columns of a ``ScanTable``; ``find_zero_crossings`` and ``surface_zero``
 (a ``SurfaceTable``) find zeros by one ``_bracket_and_bisect``, and
 ``write_csv`` formats both tables, one ``%`` format per block of rows.  All
-randomness is seed-in, state-out; grid orderings are row-major over the axes
-as given, and outputs are bit-identical across runs with the same inputs.
+randomness is seed-in, state-out; grid orderings are row-major over the family's
+parameters in their order, and outputs are bit-identical across runs with the same inputs.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .measures import _CHUNK, eof_batch, pure_qubit_batch
 from .measures import ggm_batch, pure_scores_batch  # bench/spans.py wraps both
 from .measures import concurrence_batch, conditional_entropy_qubit_batch  # noqa: F401  (timed by bench/spans.py)
 from .monogamy import PROP_TOL, ZERO_BAND_DEFAULT
-from .qcore import PureState, binary_entropy
-from .states import FAMILY_PARAMS, family_states, haar_random_amplitudes  # the last two timed by bench/spans.py
+from .qcore import PureState, UsageError, binary_entropy, check_arg
+from .states import family_params, family_states, haar_random_amplitudes  # the last two timed by bench/spans.py
 from .states import symmetric_concurrence_closed_form
 
 MK_MODES = ("closed", "optimize", "skip")
@@ -139,6 +139,7 @@ def delta_c_batch(amps: np.ndarray) -> np.ndarray:
 
 def _score(family: str, params: np.ndarray, amps: np.ndarray, epsilon: float) -> ScanTable:
     """The ScanTable of (K, 8) amplitudes without MK, one call of each kernel."""
+    check_arg("epsilon", epsilon, 0, finite=True)
     dd, dc = pure_scores_batch(amps)[:2]
     return ScanTable(family, params, dd, dc, ggm_batch(amps), None, np.abs(dd) < epsilon)
 
@@ -151,29 +152,34 @@ def grid_scan(
     mk_restarts: int = SCAN_MK_RESTARTS_DEFAULT,
     seed: int = 0,
 ) -> ScanTable:
-    """One row per grid point, row-major over the axes as listed.
+    """One row per grid point, row-major over the family's parameters in their order.
 
-    ``axes`` is a sequence of (name, values) pairs covering the family's
-    parameters.  ``mk_mode`` is "closed" (``mk_symmetric_closed_form``),
+    ``axes`` is a sequence of (name, values) pairs, one per parameter of the
+    family, in any order.  ``mk_mode`` is "closed" (``mk_symmetric_closed_form``),
     "optimize" (``mk_optimize`` per point, warm-started from the previous
     point's settings) or "skip" (default: "closed" for ghz-sym, else "skip").
     """
-    names = [n for n, _ in axes]
-    if tuple(names) != FAMILY_PARAMS[family]:
-        raise ValueError(
-            f"axes {names} must match {FAMILY_PARAMS[family]} for family {family!r}"
-        )
-    values = [np.asarray(v, dtype=float).ravel() for _, v in axes]
-    if any(v.size == 0 for v in values):
-        raise ValueError("empty axis range")
-    mesh = np.meshgrid(*values, indexing="ij")
-    rows = np.stack([m.ravel() for m in mesh], axis=1)
+    names, given = family_params(family), dict(axes)
+    unknown, missing = sorted(set(given) - set(names)), sorted(set(names) - set(given))
+    if unknown:
+        raise UsageError(f"unknown axis {unknown} for family {family!r}")
+    if missing:
+        raise UsageError(f"missing axis {missing} for family {family!r}")
+    if len(given) < len(axes):
+        raise UsageError(f"axis repeated in {[n for n, _ in axes]}")
     if mk_mode is None:
         mk_mode = "closed" if family == "ghz-sym" else "skip"
     if mk_mode not in MK_MODES:
-        raise ValueError(f"mk_mode must be one of {MK_MODES}, got {mk_mode!r}")
+        raise UsageError(f"mk_mode must be one of {MK_MODES}, got {mk_mode!r}")
     if mk_mode == "closed" and family != "ghz-sym":
-        raise ValueError("closed-form MK is defined for the ghz-sym family only")
+        raise UsageError("closed-form MK is defined for the ghz-sym family only")
+    check_arg("mk_restarts", mk_restarts, 1)
+    check_arg("seed", seed, 0)
+    values = [np.asarray(given[n], dtype=float).ravel() for n in names]
+    if any(v.size == 0 for v in values):
+        raise UsageError("empty axis range")
+    mesh = np.meshgrid(*values, indexing="ij")
+    rows = np.stack([m.ravel() for m in mesh], axis=1)
 
     amps = family_states(family, rows)
     table = _score(family, rows, amps, epsilon)
@@ -214,14 +220,11 @@ def _delta_along(family: str, base: np.ndarray, axis_idx: int, xs: np.ndarray) -
 
 
 def _check_root_inputs(lo, hi, presample, xtol, noise_floor) -> None:
-    if presample < 2:
-        raise ValueError(f"presample must be >= 2, got {presample}")
+    check_arg("presample", presample, 2)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"need a finite range lo < hi, got [{lo}, {hi}]")
-    if not xtol > 0:
-        raise ValueError(f"xtol must be > 0, got {xtol}")
-    if not noise_floor >= 0:
-        raise ValueError(f"noise_floor must be >= 0, got {noise_floor}")
+        raise UsageError(f"need a finite range lo < hi, got [{lo}, {hi}]")
+    check_arg("xtol", xtol, 0, strict=True, finite=True)
+    check_arg("noise_floor", noise_floor, 0)
 
 
 def _sign_changes(vals: np.ndarray, noise_floor: float) -> np.ndarray:
@@ -309,12 +312,12 @@ def find_zero_crossings(
     call, to the results of scalar bisection.  An empty list means no
     crossing was found, which is not an error.
     """
-    names = FAMILY_PARAMS[family]
+    names = family_params(family)
     if axis not in names:
-        raise ValueError(f"axis {axis!r} not a parameter of {family!r}")
+        raise UsageError(f"axis {axis!r} not a parameter of {family!r}")
     missing = set(names) - {axis} - set(fixed)
     if missing:
-        raise ValueError(f"missing fixed parameters {sorted(missing)}")
+        raise UsageError(f"missing fixed parameters {sorted(missing)}")
     base = np.array([[0.0 if n == axis else fixed[n] for n in names]], dtype=float)
     _check_root_inputs(lo, hi, presample, xtol, noise_floor)
     axis_idx = names.index(axis)
@@ -381,8 +384,8 @@ def sample_experiment(
     """Haar-sample delta_D and GGM; band statistics with |delta_D| < epsilon.
 
     ``per_sample_path`` gets ``write_csv`` rows: family "haar", p1 the sample index."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_arg("n", n, 1)
+    check_arg("seed", seed, 0)
     amps = haar_random_amplitudes(n, seed)
     table = _score("haar", np.arange(n, dtype=float)[:, None], amps, epsilon)
     dd, gg, band = table.delta_d, table.ggm, table.zero_band
@@ -418,12 +421,11 @@ def path_trace(
     settings optimizer (warm-started point to point), so any fixed-settings curve lies at
     or below the one traced here.  ``grid_scan`` rejects any other mode.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    check_arg("resolution", resolution, 2)
     family = {"ghz": "path-ghz", "w-ghz": "path-w-ghz"}.get(path_id, path_id)
     if family not in ("path-ghz", "path-w-ghz"):
-        raise ValueError(f"unknown path {path_id!r}")
-    axis = (FAMILY_PARAMS[family][0], np.linspace(0.0, np.pi / 2, resolution))
+        raise UsageError(f"unknown path {path_id!r}")
+    axis = (family_params(family)[0], np.linspace(0.0, np.pi / 2, resolution))
     return grid_scan(family, [axis], epsilon, mk_mode, mk_restarts, seed)
 
 

@@ -6,7 +6,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .qcore import ZERO_NORM, PureState
+from .qcore import ZERO_NORM, PureState, UsageError
 
 _LABELS = ("A", "B", "C")
 _RANGE_SLACK = 1e-12  # a range end computed in floats misses it by ulps: 25 * (pi / 100) > pi / 4
@@ -138,6 +138,14 @@ FAMILY_PARAMS = {
 }
 
 
+def family_params(family: str) -> tuple[str, ...]:
+    """The parameter names of a named family, in row order; an unknown name is a ``UsageError``."""
+    try:
+        return FAMILY_PARAMS[family]
+    except KeyError:
+        raise UsageError(f"unknown family {family!r}") from None
+
+
 def family_states(family: str, rows) -> np.ndarray:
     """(K, 8) normalized amplitudes for parameter rows of a named family.
 
@@ -145,10 +153,8 @@ def family_states(family: str, rows) -> np.ndarray:
     the path constructors are single rows of it.  The paths interpolate
     between their (normalized) endpoint and |GHZ>, then renormalize.
     """
-    if family not in FAMILY_PARAMS:
-        raise ValueError(f"unknown family {family!r}")
+    want = len(family_params(family))
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    want = len(FAMILY_PARAMS[family])
     if rows.shape[1] != want:
         raise ValueError(f"family {family!r} takes {want} parameters per row")
     if not np.isfinite(rows).all():

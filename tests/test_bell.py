@@ -13,7 +13,7 @@ from qmono.bell import (
     pauli_operator,
 )
 from qmono.measures import SIGMA_Z
-from qmono.qcore import DensityMatrix, PureState
+from qmono.qcore import DensityMatrix, PureState, UsageError
 from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
 
 X = np.array([1.0, 0.0, 0.0])
@@ -149,8 +149,21 @@ class TestOptimize:
 
     def test_no_start_rejected(self):
         for restarts in (0, -1):
-            with pytest.raises(ValueError, match="needs a start"):
+            with pytest.raises(UsageError, match=f"^restarts must be >= 1, got {restarts}$"):
                 mk_optimize(ghz_state(), restarts=restarts)
+
+    def test_raw_arrays_are_checked_states(self):
+        # an unnormalized vector is normalized like a PureState, not read as twice the GHZ value
+        ghz = np.array([1, 0, 0, 0, 0, 0, 0, 1.0])
+        val, _ = mk_optimize(ghz, restarts=4)
+        assert val == mk_optimize(PureState(ghz, (2, 2, 2)), restarts=4)[0]
+        assert_allclose(val, 2.0, atol=1e-9)
+        rho = np.outer(ghz, ghz) / 2
+        assert mk_optimize(rho, restarts=4)[0] == mk_optimize(DensityMatrix(rho, (2, 2, 2)), restarts=4)[0]
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            mk_optimize(np.full(8, np.nan), restarts=4)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            mk_optimize(np.full((8, 8), np.nan), restarts=4)
 
 
 def haar_states(n, seed):

@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmono
-from qmono.cli import SystemExit2, _axis_values, main, parse_config_file
-from qmono.qcore import DensityMatrix, save_state
+from qmono.cli import _axis_values, main, parse_config_file
+from qmono.qcore import DensityMatrix, UsageError, save_state
 from qmono.scan import sample_experiment
 from qmono.states import ghz_state, haar_random, symmetric_ghz
 
@@ -34,7 +34,7 @@ class TestHelpers:
 
     def test_axis_malformed(self):
         for spec in ("0:1", "abc", "0:1:x", "0:b:3", "0:1:2.5", "nan", "0:inf:3"):
-            with pytest.raises(SystemExit2, match=repr(spec)):
+            with pytest.raises(UsageError, match=repr(spec)):
                 _axis_values(spec)
 
     def test_config_file_parse(self, tmp_path):
@@ -78,7 +78,7 @@ class TestMeasuresCommand:
 
     def test_unknown_nodal_usage_error(self, ghz_file, capsys):
         assert main(["measures", "--state", ghz_file, "--nodal", "Z"]) == 2
-        assert "--nodal 'Z' is not a party of the state ['A', 'B', 'C']" in capsys.readouterr().err
+        assert "unknown party label 'Z'; the parties are ['A', 'B', 'C']" in capsys.readouterr().err
 
     def test_pure_report_matches_scan_row(self, tmp_path, capsys):
         """A pure three-qubit report and the scan row of the same state print the same digits."""
@@ -223,7 +223,7 @@ class TestPathCommand:
     def test_resolution_one_usage_error(self, tmp_path, capsys):
         code = main(["path", "--id", "ghz", "--resolution", "1", "-o", str(tmp_path / "p.csv")])
         assert code == 2
-        assert "--resolution" in capsys.readouterr().err
+        assert "resolution must be >= 2" in capsys.readouterr().err
 
 
 class TestSampleCommand:
@@ -260,7 +260,7 @@ class TestSampleCommand:
 
     def test_zero_samples_usage_error(self, capsys):
         assert main(["sample", "-n", "0"]) == 2
-        assert "-n must be >= 1" in capsys.readouterr().err
+        assert "n must be >= 1" in capsys.readouterr().err
 
 
 class TestBellCommand:
@@ -325,14 +325,14 @@ class TestRestartsUsageError:
     def test_flag(self, commands, restarts, capsys):
         for argv in commands:
             assert main(argv + ["--restarts", restarts]) == 2
-            assert f"--restarts must be >= 1, got {restarts}" in capsys.readouterr().err
+            assert f"restarts must be >= 1, got {restarts}" in capsys.readouterr().err
 
     def test_config_file(self, commands, tmp_path, capsys):
         conf = tmp_path / "conf"
         conf.write_text("restarts = 0\n")
         for argv in commands:
             assert main(argv + ["--config", str(conf)]) == 2
-            assert "--restarts must be >= 1" in capsys.readouterr().err
+            assert "restarts must be >= 1" in capsys.readouterr().err
 
     def test_one_restart_runs(self, ghz_file, capsys):
         assert main(["bell", "--state", ghz_file, "--restarts", "1"]) == 0
@@ -358,7 +358,7 @@ class TestSeedUsageError:
     def test_flag(self, commands, tmp_path, capsys):
         for argv in commands:
             assert main(argv + ["--seed", "-1"]) == 2
-            assert capsys.readouterr() == ("", "qmono: --seed must be >= 0, got -1\n")
+            assert capsys.readouterr() == ("", "qmono: seed must be >= 0, got -1\n")
         assert not (tmp_path / "out.csv").exists()
 
     def test_config_file(self, commands, tmp_path, capsys):
@@ -366,7 +366,7 @@ class TestSeedUsageError:
         conf.write_text("seed = -5\n")
         for argv in commands:
             assert main(argv + ["--config", str(conf)]) == 2
-            assert capsys.readouterr() == ("", "qmono: --seed must be >= 0, got -5\n")
+            assert capsys.readouterr() == ("", "qmono: seed must be >= 0, got -5\n")
 
     def test_seed_zero_runs(self, capsys):
         assert main(["sample", "-n", "3", "--seed", "0"]) == 0
@@ -375,16 +375,19 @@ class TestSeedUsageError:
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "0"], "--xtol must be"),
-        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "-1"], "--xtol must be"),
-        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "inf"], "--xtol must be"),
-        (["sample", "-n", "3", "--epsilon", "-1"], "--epsilon must be"),
-        (["path", "--id", "ghz", "--resolution", "2", "--epsilon", "nan"], "--epsilon must be"),
+        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "0"], "xtol must be"),
+        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "-1"], "xtol must be"),
+        (["surface", "--theta", "0.4", "--kappa", "1", "--xtol", "inf"], "xtol must be"),
+        (["sample", "-n", "3", "--epsilon", "-1"], "epsilon must be"),
+        (["path", "--id", "ghz", "--resolution", "2", "--epsilon", "nan"], "epsilon must be"),
         (["scan", "--family", "ghz-sym", "--axis", "theta=0.3", "--axis", "kappa=0",
-          "--axis", "alpha=1", "--epsilon", "inf"], "--epsilon must be"),
+          "--axis", "alpha=1", "--epsilon", "inf"], "epsilon must be"),
         (["scan", "--family", "path-ghz", "--mk", "closed", "--axis", "mu=0.3"],
-         "--mk closed is defined for the ghz-sym family only"),
+         "closed-form MK is defined for the ghz-sym family only"),
     ],
+    # each case keeps the id it was given when its message still named the flag
+    ids=[*(f"argv{i}---xtol must be" for i in range(3)), *(f"argv{i}---epsilon must be" for i in range(3, 6)),
+         "argv6---mk closed is defined for the ghz-sym family only"],
 )
 def test_out_of_range_tolerance_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"

@@ -1,21 +1,27 @@
-"""Each bad input the library and the CLI reject, with its exception type and message."""
+"""Each bad input the library and the CLI reject, with its exception type and message.
+
+A bad argument value is a ``UsageError``, raised by the library function that uses the
+value (``USAGE``); a state or parameter set that is not one is a plain ``ValueError``
+(``LIBRARY``).  The CLI only parses, and exits 2 on either kind of usage error."""
 
 import re
 
 import numpy as np
 import pytest
 
-from qmono.bell import MKSettings
+from qmono.bell import MKSettings, mk_optimize
 from qmono.cli import main
-from qmono.measures import DiscordResult, MeasurementBasis, OptimizerTrace, ggm, unitary_from_angles
+from qmono.measures import DiscordResult, MeasurementBasis, OptimizerTrace, conditional_entropy_min, ggm
+from qmono.measures import unitary_from_angles
 from qmono.monogamy import delta_c, delta_d
-from qmono.qcore import DensityMatrix, PureState, state_to_dict
-from qmono.scan import find_zero_crossings, grid_scan, path_trace, prop4_check, sample_experiment
-from qmono.states import GHZClassParams, family_states
+from qmono.qcore import Bipartition, DensityMatrix, PureState, UsageError, state_to_dict
+from qmono.scan import find_zero_crossings, grid_scan, path_trace, prop4_check, sample_experiment, surface_zero
+from qmono.states import GHZClassParams, family_states, ghz_state, haar_random
 
 Z, X = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
 GHZ_SYM_AXES = [("theta", [0.3]), ("kappa", [0.0]), ("alpha", [0.5])]
-W_AXES = [(n, [0.5]) for n in ("theta1", "theta2", "theta3", "phi1", "phi2", "phi3")]
+W_AXES_NAMES = ("theta1", "theta2", "theta3", "phi1", "phi2", "phi3")
+W_AXES = [(n, [0.5]) for n in W_AXES_NAMES]
 
 LIBRARY = {
     "mk-settings-empty": (lambda: MKSettings((), ()), "need matching nonempty direction lists"),
@@ -32,31 +38,80 @@ LIBRARY = {
     "pure-zero-vector": (lambda: PureState(np.zeros(8), (2, 2, 2)), "cannot normalize the zero vector"),
     "density-shape": (lambda: DensityMatrix(np.eye(3) / 3, (2,)), "matrix shape (3, 3) does not match dims (2,)"),
     "state-to-dict-array": (lambda: state_to_dict(np.eye(2) / 2), "expected PureState or DensityMatrix"),
-    "grid-axes-order": (
-        lambda: grid_scan("ghz-sym", GHZ_SYM_AXES[::-1]),
-        "axes ['alpha', 'kappa', 'theta'] must match ('theta', 'kappa', 'alpha') for family 'ghz-sym'",
-    ),
+    "ghz-alpha-range": (lambda: GHZClassParams(0.3, 1.0, 0.5, 2.0, 0.5), "alpha=2.0 outside [0, pi/2]"),
+    "family-row-width": (lambda: family_states("ghz", [[0.1, 0.2]]), "family 'ghz' takes 5 parameters per row"),
+}
+MIXED = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
+A_BC = Bipartition(("A",), ("B", "C"))
+
+
+def _surface(xtol):
+    return lambda: surface_zero([0.4], [1.0], xtol=xtol)
+
+
+USAGE = {
+    "nodal-unknown": (lambda: delta_d(ghz_state(), "Z"), "unknown party label 'Z'; the parties are ['A', 'B', 'C']"),
     "grid-closed-mk-off-family": (
         lambda: grid_scan("w", W_AXES, mk_mode="closed"), "closed-form MK is defined for the ghz-sym family only",
     ),
+    "path-mk-mode": (
+        lambda: path_trace("ghz", 5, mk_mode="closed"), "closed-form MK is defined for the ghz-sym family only",
+    ),
+    "grid-unknown-axis": (
+        lambda: grid_scan("ghz-sym", [*GHZ_SYM_AXES, ("beta", [1.0])]), "unknown axis ['beta'] for family 'ghz-sym'",
+    ),
+    "grid-missing-axis": (lambda: grid_scan("ghz-sym", GHZ_SYM_AXES[:2]), "missing axis ['alpha'] for family 'ghz-sym'"),
+    "grid-repeated-axis": (
+        lambda: grid_scan("ghz-sym", [*GHZ_SYM_AXES, ("theta", [0.4])]),
+        "axis repeated in ['theta', 'kappa', 'alpha', 'theta']",
+    ),
+    "grid-unknown-family": (lambda: grid_scan("bogus", GHZ_SYM_AXES), "unknown family 'bogus'"),
+    "crossing-unknown-family": (lambda: find_zero_crossings("bogus", {}, "alpha", 0.1, 1.0), "unknown family 'bogus'"),
     "crossing-axis": (
         lambda: find_zero_crossings("ghz-sym", {"theta": 0.3, "kappa": 0.0}, "beta", 0.1, 1.0),
         "axis 'beta' not a parameter of 'ghz-sym'",
     ),
-    "sample-none": (lambda: sample_experiment(0, seed=1), "need n >= 1"),
-    "path-mk-mode": (
-        lambda: path_trace("ghz", 5, mk_mode="closed"), "closed-form MK is defined for the ghz-sym family only",
+    "path-resolution": (lambda: path_trace("ghz", 1), "resolution must be >= 2, got 1"),
+    "sample-none": (lambda: sample_experiment(0, seed=1), "n must be >= 1, got 0"),
+    "delta-d-restarts": (lambda: delta_d(haar_random(1), "A", restarts=0, seed=-3), "restarts must be >= 1, got 0"),
+    "delta-d-seed": (lambda: delta_d(haar_random(1), "A", seed=-3), "seed must be >= 0, got -3"),
+    "entropy-restarts": (lambda: conditional_entropy_min(MIXED, A_BC, restarts=0), "restarts must be >= 1, got 0"),
+    "entropy-seed": (lambda: conditional_entropy_min(MIXED, A_BC, seed=-1), "seed must be >= 0, got -1"),
+    "grid-mk-restarts": (lambda: grid_scan("ghz-sym", GHZ_SYM_AXES, mk_restarts=0), "mk_restarts must be >= 1, got 0"),
+    "grid-seed": (lambda: grid_scan("ghz-sym", GHZ_SYM_AXES, seed=-1), "seed must be >= 0, got -1"),
+    "sample-seed": (lambda: sample_experiment(5, seed=-1), "seed must be >= 0, got -1"),
+    "mk-seed": (lambda: mk_optimize(ghz_state(), seed=-1), "seed must be >= 0, got -1"),
+    "xtol-zero": (_surface(0.0), "xtol must be finite and > 0, got 0.0"),
+    "xtol-negative": (_surface(-1.0), "xtol must be finite and > 0, got -1.0"),
+    "xtol-inf": (_surface(np.inf), "xtol must be finite and > 0, got inf"),
+    "epsilon-negative": (lambda: sample_experiment(50, 1, epsilon=-1.0), "epsilon must be finite and >= 0, got -1.0"),
+    "epsilon-nan": (lambda: sample_experiment(50, 1, epsilon=np.nan), "epsilon must be finite and >= 0, got nan"),
+    "epsilon-inf": (
+        lambda: grid_scan("ghz-sym", GHZ_SYM_AXES, epsilon=np.inf), "epsilon must be finite and >= 0, got inf",
     ),
-    "ghz-alpha-range": (lambda: GHZClassParams(0.3, 1.0, 0.5, 2.0, 0.5), "alpha=2.0 outside [0, pi/2]"),
-    "family-row-width": (lambda: family_states("ghz", [[0.1, 0.2]]), "family 'ghz' takes 5 parameters per row"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(LIBRARY))
+@pytest.mark.parametrize("case", sorted(LIBRARY | USAGE))
 def test_library_rejects(case):
-    call, message = LIBRARY[case]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    """A ``USAGE`` case raises ``UsageError``; a ``LIBRARY`` case a plain ``ValueError``."""
+    call, message = (LIBRARY | USAGE)[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         call()
+    assert isinstance(info.value, UsageError) == (case in USAGE)
+
+
+def test_grid_scan_takes_axes_in_any_order():
+    """Shuffled axes give the family-order grid, bit for bit in every column."""
+    ghz_sym = [("theta", [0.2, 0.5, 0.7]), ("kappa", [0.0, 1.0]), ("alpha", np.linspace(0.1, 1.5, 4))]
+    w = [(name, np.linspace(0.3, 2.0 + i, 2)) for i, name in enumerate(W_AXES_NAMES)]
+    for family, axes, mk_mode in (("ghz-sym", ghz_sym, "closed"), ("w", w, "skip")):
+        shuffled = [axes[i] for i in np.random.default_rng(7).permutation(len(axes))]
+        assert [n for n, _ in shuffled] != [n for n, _ in axes]
+        ordered, table = grid_scan(family, axes, mk_mode=mk_mode), grid_scan(family, shuffled, mk_mode=mk_mode)
+        for column in ("params", "delta_d", "delta_c", "ggm", "mk", "zero_band"):
+            a, b = getattr(ordered, column), getattr(table, column)
+            assert (a is None and b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
 
 
 @pytest.mark.parametrize(

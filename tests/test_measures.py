@@ -22,7 +22,7 @@ from qmono.measures import (
     _minimize_dim4_side,
 )
 from qmono.monogamy import delta_d
-from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
+from qmono.qcore import Bipartition, DensityMatrix, PureState, UsageError, partial_trace, vn_entropy
 from qmono.states import haar_random
 
 from oracles import eof_pure
@@ -454,17 +454,17 @@ class TestDim4MeasuredSide:
             assert lower - 1e-12 <= val <= vn_entropy(partial_trace(rho, ("A",))) + 1e-12
 
     def test_restarts_below_one_rejected(self):
-        # the U(d) search needs a start; the closed-form, pure and Bloch paths never read restarts
+        # a usage error on every path, also the closed-form, pure and Bloch ones that never read restarts
         rng = np.random.default_rng(49)
         rho = wishart_state(rng, 8, (2, 2, 2), rank=4)
         for bad in (0, -1):
-            with pytest.raises(ValueError, match="restarts"):
-                delta_d(rho, "A", restarts=bad)
-            with pytest.raises(ValueError, match="restarts"):
-                _minimize_dim4_side(rho.matrix, 2, restarts=bad, seed=0)
-            for state in (wishart_state(rng, 8, (2, 2, 2), rank=2), PureState(haar_pure(rng, 8).amplitudes, (2, 2, 2))):
-                assert np.isfinite(delta_d(state, "A", restarts=bad).delta_D)
-            assert np.isfinite(conditional_entropy_min(rho, Bipartition(("A", "B"), ("C",)), restarts=bad)[0])
+            message = f"^restarts must be >= 1, got {bad}$"
+            for state in (rho, wishart_state(rng, 8, (2, 2, 2), rank=2), PureState(haar_pure(rng, 8).amplitudes, (2, 2, 2))):
+                with pytest.raises(UsageError, match=message):
+                    delta_d(state, "A", restarts=bad)
+            for cut in (BC_MEASURED, Bipartition(("A", "B"), ("C",))):
+                with pytest.raises(UsageError, match=message):
+                    conditional_entropy_min(rho, cut, restarts=bad)
 
     def test_restart_monotonicity_4_16_64(self):
         rng = np.random.default_rng(47)

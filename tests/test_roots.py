@@ -10,14 +10,13 @@ import pytest
 from qmono import scan
 from qmono.measures import eof_batch
 from qmono.scan import (
-    FAMILY_PARAMS,
     NOISE_FLOOR_DEFAULT,
     SurfaceTable,
     ZeroCrossing,
     find_zero_crossings,
     surface_zero,
 )
-from qmono.states import symmetric_concurrence_closed_form
+from qmono.states import FAMILY_PARAMS, symmetric_concurrence_closed_form
 
 FIG2_LINE = ("ghz-sym", {"theta": 0.4, "kappa": 1.0}, "alpha")
 
