@@ -40,16 +40,10 @@ from .bell import (
     mk_symmetric_closed_form,
 )
 from .states import (
-    GHZClassParams,
-    WClassParams,
-    ghz_class,
+    family_state,
     ghz_state,
     haar_random,
-    path_ghz,
-    path_w_ghz,
     symmetric_concurrence_closed_form,
-    symmetric_ghz,
-    w_class,
     w_state,
 )
 from .scan import (

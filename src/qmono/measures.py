@@ -351,7 +351,8 @@ def ggm_batch(amps: np.ndarray) -> np.ndarray:
     """Generalized geometric measure of a (K, 8) batch: 1 - the largest eigenvalue
     of the three single-qubit marginals, the three bipartitions of three qubits.
     Elementwise on (K,) columns, so batch-invariant like ``pure_scores_batch``."""
-    return 1.0 - np.max([_eig2(*r)[0] for r in _site_marginals(_columns(amps), range(3))], axis=0)
+    largest = np.max([_eig2(*r)[0] for r in _site_marginals(_columns(amps), range(3))], axis=0)
+    return np.clip(1.0 - largest, 0.0, None)  # on a product face ``largest`` rounds up to 1 + 2 ulp
 
 
 def ggm(psi: PureState) -> float:
@@ -607,13 +608,13 @@ def conditional_entropy_min(
     seeded starts of the U(d) search; larger ones raise ValueError.  ``restarts`` < 1 and
     ``seed`` < 0 are ``UsageError`` whatever the path.
     """
+    check_arg("restarts", restarts, 1)
+    check_arg("seed", seed, 0)
     value, basis, _ = _conditional_entropy_min_traced(rho, cut, restarts, seed)
     return value, basis
 
 
 def _conditional_entropy_min_traced(rho, cut, restarts=SEARCH_RESTARTS_DEFAULT, seed=0):
-    check_arg("restarts", restarts, 1)
-    check_arg("seed", seed, 0)
     cut.check_covers(rho.labels)
     ordered = partial_trace(rho, cut.side_one + cut.side_two)  # kept block first
     matrix, d_keep = ordered.matrix, int(np.prod(ordered.dims[: len(cut.side_one)]))
@@ -638,12 +639,17 @@ def _conditional_entropy_min_traced(rho, cut, restarts=SEARCH_RESTARTS_DEFAULT, 
     return value, MeasurementBasis(cut.side_two, [np.outer(c, c.conj()) for c in u.T]), trace
 
 
-def discord(rho: DensityMatrix, cut: Bipartition, **opt) -> DiscordResult:
+def discord(
+    rho: DensityMatrix, cut: Bipartition, restarts: int = SEARCH_RESTARTS_DEFAULT, seed: int = 0
+) -> DiscordResult:
     """Quantum discord D = I - J = S_two - S_joint + S(one|two), the measurement on ``cut.side_two``.
 
     A pure input needs no search: S_two = S_one, S_joint = 0 and S(one|two) = 0
     (measuring side two in its Schmidt basis leaves side one pure), so D = S_one.
+    ``restarts`` < 1 and ``seed`` < 0 are ``UsageError`` whatever the path.
     """
+    check_arg("restarts", restarts, 1)
+    check_arg("seed", seed, 0)
     cut.check_covers(rho.labels)
     s_one = vn_entropy(partial_trace(rho, cut.side_one))
     if rho.is_pure():
@@ -651,7 +657,7 @@ def discord(rho: DensityMatrix, cut: Bipartition, **opt) -> DiscordResult:
         trace = OptimizerTrace(restarts=0, best=0.0, kernel="pure")
     else:
         s_two, s_joint = vn_entropy(partial_trace(rho, cut.side_two)), vn_entropy(rho)
-        cond, basis, trace = _conditional_entropy_min_traced(rho, cut, **opt)
+        cond, basis, trace = _conditional_entropy_min_traced(rho, cut, restarts, seed)
     return DiscordResult(
         discord=s_two - s_joint + cond,
         mutual_information=s_one + s_two - s_joint,

@@ -1,76 +1,19 @@
-"""Three-qubit state families, all built by ``family_states``, interpolation paths and Haar sampling."""
+"""Three-qubit states: the paper's named families, GHZ, W and Haar draws.
+
+``family_states`` holds the one formula of each family for a batch of parameter rows, and
+``family_state`` is a range-checked batch of one.  ``ghz`` is the two-branch class
+cos(theta)|000> + e^{i kappa} sin(theta)|f1 f2 f3>, |f_j> = cos(alpha_j)|0> + sin(alpha_j)|1>
+(``ghz-sym``: equal alphas), ``w`` the four-term W class on {000, 001, 010, 100} in half angles,
+and ``path-ghz`` / ``path-w-ghz`` run from a fixed GHZ-class / W-class endpoint to |GHZ>.
+"""
 
 from __future__ import annotations
-
-from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .qcore import ZERO_NORM, PureState, UsageError
 
 _LABELS = ("A", "B", "C")
-_RANGE_SLACK = 1e-12  # a range end computed in floats misses it by ulps: 25 * (pi / 100) > pi / 4
-_RANGE_ENDS = {"pi/4": np.pi / 4, "pi/2": np.pi / 2, "2pi": 2 * np.pi}
-
-
-def _check_range(name: str, value: float, end: str) -> None:
-    """Reject ``value`` outside [0, ``end``], both ends widened by ``_RANGE_SLACK``."""
-    if not (-_RANGE_SLACK <= value <= _RANGE_ENDS[end] + _RANGE_SLACK):  # NaN fails too
-        raise ValueError(f"{name}={value} outside [0, {end}]")
-
-
-@dataclass(frozen=True)
-class GHZClassParams:
-    """Parameters of the two-branch family cos(theta)|000> + e^{ik} sin(theta)|f1 f2 f3>.
-
-    Ranges are theta in (0, pi/4], kappa in [0, 2pi], alpha_j in (0, pi/2];
-    the theta = 0 / alpha_j = 0 faces are degenerate (product states) and are
-    admitted only with the ``degenerate`` flag, for face scans.
-    """
-
-    theta: float
-    kappa: float
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    degenerate: bool = False
-
-    def __post_init__(self):
-        _check_range("theta", self.theta, "pi/4")
-        _check_range("kappa", self.kappa, "2pi")
-        for a in self.alphas:
-            _check_range("alpha", a, "pi/2")
-        on_face = self.theta <= _RANGE_SLACK or any(a <= _RANGE_SLACK for a in self.alphas)
-        if on_face and not self.degenerate:
-            raise ValueError(
-                "theta = 0 or alpha_j = 0 is a degenerate face; pass degenerate=True"
-            )
-
-    @property
-    def alphas(self) -> tuple[float, float, float]:
-        return (self.alpha1, self.alpha2, self.alpha3)
-
-
-@dataclass(frozen=True)
-class WClassParams:
-    """Half-angle parameters of the four-term superposition on {000,001,010,100}."""
-
-    theta1: float
-    theta2: float
-    theta3: float
-    phi1: float
-    phi2: float
-    phi3: float
-
-
-def ghz_class(p: GHZClassParams) -> PureState:
-    """Two-branch state, normalized (norm^2 = 1 + sin(2 theta) cos(kappa) prod cos(alpha_j))."""
-    return _family_state("ghz", astuple(p)[:5])
-
-
-def symmetric_ghz(theta: float, kappa: float, alpha: float) -> PureState:
-    """ghz_class with equal alphas, faces admitted; permutation symmetric by construction."""
-    return ghz_class(GHZClassParams(theta, kappa, alpha, alpha, alpha, degenerate=True))
 
 
 def symmetric_concurrence_closed_form(theta, kappa, alpha):
@@ -93,11 +36,6 @@ def symmetric_concurrence_closed_form(theta, kappa, alpha):
     return float(conc) if conc.ndim == 0 else conc
 
 
-def w_class(p: WClassParams) -> PureState:
-    """Four-term W-class superposition with the half-angle amplitudes."""
-    return _family_state("w", astuple(p))
-
-
 def ghz_state() -> PureState:
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = amps[0b111] = 1.0
@@ -110,24 +48,10 @@ def w_state() -> PureState:
     return PureState(amps, (2, 2, 2), _LABELS)
 
 
-# endpoints of the two interpolation paths
-PATH_GHZ_ENDPOINT = GHZClassParams(0.7, 3.06, 0.55, 0.56, 0.63)
-PATH_W_ENDPOINT = WClassParams(3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
+# --- the named families ---------------------------------------------------------
 
-
-def path_ghz(mu: float) -> PureState:
-    """cos(mu) |endpoint> + sin(mu) |GHZ| for mu in [0, pi/2]."""
-    _check_range("mu", mu, "pi/2")
-    return _family_state("path-ghz", (mu,))
-
-
-def path_w_ghz(tau: float) -> PureState:
-    """cos(tau) |W-class endpoint> + sin(tau) |GHZ| for tau in [0, pi/2]."""
-    _check_range("tau", tau, "pi/2")
-    return _family_state("path-w-ghz", (tau,))
-
-
-# --- batched family evaluation --------------------------------------------------
+PATH_GHZ_ENDPOINT = (0.7, 3.06, 0.55, 0.56, 0.63)  # the paths' endpoints, a ghz and a w row
+PATH_W_ENDPOINT = (3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
 
 FAMILY_PARAMS = {
     "ghz-sym": ("theta", "kappa", "alpha"),
@@ -136,6 +60,15 @@ FAMILY_PARAMS = {
     "path-ghz": ("mu",),
     "path-w-ghz": ("tau",),
 }
+
+# the closed range [0, end] of each checked parameter, by name; the w family's angles take any
+# value.  theta = 0 and alpha_j = 0 are faces of the ghz families (product states), admitted.
+_PARAM_ENDS = {
+    "theta": ("pi/4", np.pi / 4),
+    "kappa": ("2pi", 2 * np.pi),
+    **dict.fromkeys(("alpha", "alpha1", "alpha2", "alpha3", "mu", "tau"), ("pi/2", np.pi / 2)),
+}
+_RANGE_SLACK = 1e-12  # a range end computed in floats misses it by ulps: 25 * (pi / 100) > pi / 4
 
 
 def family_params(family: str) -> tuple[str, ...]:
@@ -149,9 +82,9 @@ def family_params(family: str) -> tuple[str, ...]:
 def family_states(family: str, rows) -> np.ndarray:
     """(K, 8) normalized amplitudes for parameter rows of a named family.
 
-    The only implementation of each family formula: ghz_class, w_class and
-    the path constructors are single rows of it.  The paths interpolate
-    between their (normalized) endpoint and |GHZ>, then renormalize.
+    The only implementation of each family formula; ``family_state`` is a batch of one.
+    The paths interpolate between their (normalized) endpoint and |GHZ>, then renormalize.
+    Rows are not range checked: a scan may run past a family's ranges.
     """
     want = len(family_params(family))
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -181,9 +114,9 @@ def family_states(family: str, rows) -> np.ndarray:
         amps[:, 0b100] = np.sin(t1 / 2) * np.cos(t2 / 2) * np.exp(1j * p3)
     else:
         if family == "path-ghz":
-            end = family_states("ghz", [astuple(PATH_GHZ_ENDPOINT)[:5]])[0]
+            end = family_states("ghz", [PATH_GHZ_ENDPOINT])[0]
         else:
-            end = family_states("w", [astuple(PATH_W_ENDPOINT)])[0]
+            end = family_states("w", [PATH_W_ENDPOINT])[0]
         ghz = np.zeros(8, dtype=complex)
         ghz[0] = ghz[7] = 1 / np.sqrt(2)
         mu = rows[:, 0]
@@ -196,8 +129,15 @@ def family_states(family: str, rows) -> np.ndarray:
     return amps / norms[:, None]
 
 
-def _family_state(family: str, row) -> PureState:
-    return PureState(family_states(family, [row])[0], (2, 2, 2), _LABELS)
+def family_state(family: str, *params: float) -> PureState:
+    """Row 0 of ``family_states``, labelled A, B, C; a parameter named in ``_PARAM_ENDS`` outside
+    [0, end], both ends widened by ``_RANGE_SLACK``, is a ``ValueError``."""
+    for name, value in zip(family_params(family), params):
+        if name in _PARAM_ENDS:
+            label, end = _PARAM_ENDS[name]
+            if not (-_RANGE_SLACK <= value <= end + _RANGE_SLACK):  # NaN fails too
+                raise ValueError(f"{name}={value} outside [0, {label}]")
+    return PureState(family_states(family, [params])[0], (2, 2, 2), _LABELS)
 
 
 def haar_random_amplitudes(n: int, seed, dim: int = 8) -> np.ndarray:

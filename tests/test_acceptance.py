@@ -28,10 +28,10 @@ from qmono.scan import (
     _marginals,
 )
 from qmono.states import (
+    family_state,
     ghz_state,
     haar_random_amplitudes,
     symmetric_concurrence_closed_form,
-    symmetric_ghz,
     w_state,
 )
 
@@ -303,7 +303,7 @@ def test_criterion_12_prop4(surface_points, band_states_10k):
     residuals = []
     satisfied = []
     for theta, kappa, alpha in zip(*pts):
-        psi = symmetric_ghz(theta, kappa, alpha)
+        psi = family_state("ghz-sym", theta, kappa, alpha)
         r = prop4_check(psi, "A")
         satisfied.append(r.satisfied)
         residuals.append(r.equality_residual)

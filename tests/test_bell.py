@@ -14,7 +14,7 @@ from qmono.bell import (
 )
 from qmono.measures import SIGMA_Z
 from qmono.qcore import DensityMatrix, PureState, UsageError
-from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
+from qmono.states import family_state, ghz_state, haar_random_amplitudes, w_state
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -209,7 +209,7 @@ class TestSeesawOracles:
     def test_at_least_symmetric_closed_form(self):
         rng = np.random.default_rng(23)
         for theta, kappa, alpha in rng.uniform(0.0, [np.pi / 4, 2 * np.pi, np.pi / 2], (100, 3)):
-            val, _ = mk_optimize(symmetric_ghz(theta, kappa, alpha), restarts=2, seed=4)
+            val, _ = mk_optimize(family_state("ghz-sym", theta, kappa, alpha), restarts=2, seed=4)
             assert val >= mk_symmetric_closed_form(theta, alpha, kappa) - 1e-9
 
     def test_at_least_nelder_mead_oracle(self):
@@ -296,9 +296,7 @@ class TestClosedForm:
         assert_allclose(mk_symmetric_closed_form(theta, alpha, kappa), expected, atol=1e-15)
 
     def test_closed_form_below_optimum(self):
-        from qmono.states import symmetric_ghz
-
         theta, kappa, alpha = 0.7, 0.5, 1.3
         closed = mk_symmetric_closed_form(theta, alpha, kappa)
-        val, _ = mk_optimize(symmetric_ghz(theta, kappa, alpha), restarts=16, seed=2)
+        val, _ = mk_optimize(family_state("ghz-sym", theta, kappa, alpha), restarts=16, seed=2)
         assert closed <= val + 1e-6

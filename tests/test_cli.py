@@ -15,7 +15,7 @@ import qmono
 from qmono.cli import _axis_values, main, parse_config_file
 from qmono.qcore import DensityMatrix, UsageError, save_state
 from qmono.scan import sample_experiment
-from qmono.states import ghz_state, haar_random, symmetric_ghz
+from qmono.states import family_state, ghz_state, haar_random
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ class TestMeasuresCommand:
         """A pure three-qubit report and the scan row of the same state print the same digits."""
         point = {"theta": 0.6, "kappa": 2.2, "alpha": 0.9}
         state, out = tmp_path / "sym.json", tmp_path / "scan.csv"
-        save_state(symmetric_ghz(*point.values()), state)
+        save_state(family_state("ghz-sym", *point.values()), state)
         assert main(["measures", "--state", str(state)]) == 0
         report = json.loads(capsys.readouterr().out)
         axes = [a for name, v in point.items() for a in ("--axis", f"{name}={v!r}")]

@@ -11,12 +11,12 @@ import pytest
 
 from qmono.bell import MKSettings, mk_optimize
 from qmono.cli import main
-from qmono.measures import DiscordResult, MeasurementBasis, OptimizerTrace, conditional_entropy_min, ggm
+from qmono.measures import DiscordResult, MeasurementBasis, OptimizerTrace, conditional_entropy_min, discord, ggm
 from qmono.measures import unitary_from_angles
 from qmono.monogamy import delta_c, delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, UsageError, state_to_dict
 from qmono.scan import find_zero_crossings, grid_scan, path_trace, prop4_check, sample_experiment, surface_zero
-from qmono.states import GHZClassParams, family_states, ghz_state, haar_random
+from qmono.states import family_state, family_states, ghz_state, haar_random
 
 Z, X = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
 GHZ_SYM_AXES = [("theta", [0.3]), ("kappa", [0.0]), ("alpha", [0.5])]
@@ -38,7 +38,7 @@ LIBRARY = {
     "pure-zero-vector": (lambda: PureState(np.zeros(8), (2, 2, 2)), "cannot normalize the zero vector"),
     "density-shape": (lambda: DensityMatrix(np.eye(3) / 3, (2,)), "matrix shape (3, 3) does not match dims (2,)"),
     "state-to-dict-array": (lambda: state_to_dict(np.eye(2) / 2), "expected PureState or DensityMatrix"),
-    "ghz-alpha-range": (lambda: GHZClassParams(0.3, 1.0, 0.5, 2.0, 0.5), "alpha=2.0 outside [0, pi/2]"),
+    "ghz-alpha-range": (lambda: family_state("ghz", 0.3, 1.0, 0.5, 2.0, 0.5), "alpha2=2.0 outside [0, pi/2]"),
     "family-row-width": (lambda: family_states("ghz", [[0.1, 0.2]]), "family 'ghz' takes 5 parameters per row"),
 }
 MIXED = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
@@ -77,6 +77,8 @@ USAGE = {
     "delta-d-seed": (lambda: delta_d(haar_random(1), "A", seed=-3), "seed must be >= 0, got -3"),
     "entropy-restarts": (lambda: conditional_entropy_min(MIXED, A_BC, restarts=0), "restarts must be >= 1, got 0"),
     "entropy-seed": (lambda: conditional_entropy_min(MIXED, A_BC, seed=-1), "seed must be >= 0, got -1"),
+    "discord-restarts": (lambda: discord(ghz_state().density(), A_BC, restarts=0, seed=-5), "restarts must be >= 1, got 0"),
+    "discord-seed": (lambda: discord(ghz_state().density(), A_BC, seed=-5), "seed must be >= 0, got -5"),
     "grid-mk-restarts": (lambda: grid_scan("ghz-sym", GHZ_SYM_AXES, mk_restarts=0), "mk_restarts must be >= 1, got 0"),
     "grid-seed": (lambda: grid_scan("ghz-sym", GHZ_SYM_AXES, seed=-1), "seed must be >= 0, got -1"),
     "sample-seed": (lambda: sample_experiment(5, seed=-1), "seed must be >= 0, got -1"),

@@ -8,7 +8,7 @@ from qmono import monogamy
 from qmono.measures import conditional_entropy_min, discord, pure_scores_batch
 from qmono.monogamy import cond_entropy_bounds, delta_c, delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, tensor, vn_entropy
-from qmono.states import ghz_state, haar_random_amplitudes, symmetric_ghz, w_state
+from qmono.states import family_state, ghz_state, haar_random_amplitudes, w_state
 
 from oracles import (
     discord_eof_pure_identity,
@@ -231,7 +231,7 @@ class TestPropositions:
         from qmono.scan import surface_zero
 
         pt = surface_zero([0.4], [1.0])
-        psi = symmetric_ghz(pt.theta[0], pt.kappa[0], pt.alpha_star[0])
+        psi = family_state("ghz-sym", pt.theta[0], pt.kappa[0], pt.alpha_star[0])
         ok, slack = prop1_check(psi, "A")
         assert ok
         assert slack >= -1e-6
@@ -266,8 +266,8 @@ class TestPropositions:
     def test_symmetric_residual_tracks_delta_d(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            psi = symmetric_ghz(rng.uniform(0.1, np.pi / 4), rng.uniform(0, 2 * np.pi),
-                                rng.uniform(0.3, np.pi / 2))
+            psi = family_state("ghz-sym", rng.uniform(0.1, np.pi / 4), rng.uniform(0, 2 * np.pi),
+                               rng.uniform(0.3, np.pi / 2))
             res = symmetric_condition_residual(psi, "A")
             rep = delta_d(psi, "A")
             assert abs(rep.delta_D - 2 * res) <= 1e-6

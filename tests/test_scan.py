@@ -1,6 +1,6 @@
 import csv
 import io
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,12 +35,10 @@ from qmono.scan import (
 )
 from qmono.states import (
     PATH_W_ENDPOINT,
+    family_state,
     ghz_state,
     haar_random_amplitudes,
-    path_w_ghz,
     symmetric_concurrence_closed_form,
-    symmetric_ghz,
-    w_class,
 )
 
 GHZ_PARAMS = [("theta", [np.pi / 4]), ("kappa", [0.0]), ("alpha", [np.pi / 2])]
@@ -67,6 +65,11 @@ class TestBatchKernels:
             psi = PureState(amps[i], (2, 2, 2))
             cuts = [Bipartition((x,), tuple(y for y in "ABC" if y != x)) for x in "ABC"]
             assert abs(batch[i] - (1 - max(schmidt_sq_max(psi, c) for c in cuts))) <= 1e-12
+        # the alpha = 0 and theta = 0 faces are product states: GGM 0, not rounded below it
+        rows = np.random.default_rng(29).uniform(0.0, [np.pi / 4, 2 * np.pi, np.pi / 2], (4000, 3))
+        rows[:2000, 2] = rows[2000:, 0] = 0.0
+        face = ggm_batch(family_states("ghz-sym", rows))
+        assert np.all((face >= 0.0) & (face <= 1e-15))
 
     def test_delta_c_matches_scalar(self):
         # against 4 det(rho_A) and the eigh form of ``concurrence`` on the partial
@@ -202,7 +205,7 @@ def _two_branch(theta, kappa, a1, a2, a3):
     return v / np.linalg.norm(v)
 
 
-def _w_class(t1, t2, t3, p1, p2, p3):
+def _w_superposition(t1, t2, t3, p1, p2, p3):
     """The four-term W-class superposition on |000>, |001>, |010>, |100>."""
     s1, s2, s3 = np.sin(t1 / 2), np.sin(t2 / 2), np.sin(t3 / 2)
     c1, c2, c3 = np.cos(t1 / 2), np.cos(t2 / 2), np.cos(t3 / 2)
@@ -233,21 +236,21 @@ class TestFamilyStates:
     def test_w_matches_generator(self):
         row = np.array([list((3.25, 4.38, 11.02, 4.16, 3.98, 2.45))])
         amps = family_states("w", row)
-        assert_allclose(amps[0], _w_class(*row[0]), atol=1e-14)
+        assert_allclose(amps[0], _w_superposition(*row[0]), atol=1e-14)
 
     def test_path_matches_generator(self):
         ghz_end = _two_branch(0.7, 3.06, 0.55, 0.56, 0.63)
-        w_end = _w_class(3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
+        w_end = _w_superposition(3.25, 4.38, 11.02, 4.16, 3.98, 2.45)
         for mu in (0.0, 0.3, 1.2, np.pi / 2):
             assert_allclose(family_states("path-ghz", [[mu]])[0], _path(ghz_end, mu), atol=1e-14)
             assert_allclose(family_states("path-w-ghz", [[mu]])[0], _path(w_end, mu), atol=1e-14)
 
     def test_constructors_match_generator(self):
         sym = _two_branch(0.5, 2.0, 0.8, 0.8, 0.8)
-        assert_allclose(symmetric_ghz(0.5, 2.0, 0.8).amplitudes, sym, atol=1e-14)
-        w_end = _w_class(*astuple(PATH_W_ENDPOINT))
-        assert_allclose(w_class(PATH_W_ENDPOINT).amplitudes, w_end, atol=1e-14)
-        assert_allclose(path_w_ghz(0.4).amplitudes, _path(w_end, 0.4), atol=1e-14)
+        assert_allclose(family_state("ghz-sym", 0.5, 2.0, 0.8).amplitudes, sym, atol=1e-14)
+        w_end = _w_superposition(*PATH_W_ENDPOINT)
+        assert_allclose(family_state("w", *PATH_W_ENDPOINT).amplitudes, w_end, atol=1e-14)
+        assert_allclose(family_state("path-w-ghz", 0.4).amplitudes, _path(w_end, 0.4), atol=1e-14)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -504,7 +507,7 @@ class TestProp4:
     def test_surface_points_equality(self):
         pts = surface_zero([0.35, np.pi / 4], [0.5, 2.5])
         for theta, kappa, alpha in zip(pts.theta, pts.kappa, pts.alpha_star):
-            psi = symmetric_ghz(theta, kappa, alpha)
+            psi = family_state("ghz-sym", theta, kappa, alpha)
             res = prop4_check(psi, "A")
             assert res.precondition_met
             assert res.satisfied

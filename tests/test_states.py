@@ -5,56 +5,47 @@ from numpy.testing import assert_allclose
 from qmono.measures import concurrence
 from qmono.qcore import ZERO_NORM, PureState, partial_trace
 from qmono.states import (
-    GHZClassParams,
+    FAMILY_PARAMS,
     PATH_GHZ_ENDPOINT,
     PATH_W_ENDPOINT,
-    WClassParams,
+    family_state,
     family_states,
-    ghz_class,
     ghz_state,
     haar_random,
     haar_random_amplitudes,
-    path_ghz,
-    path_w_ghz,
     symmetric_concurrence_closed_form,
-    symmetric_ghz,
-    w_class,
     w_state,
 )
 
 
 class TestGHZClass:
     def test_maximal_point_is_ghz(self):
-        psi = ghz_class(GHZClassParams(np.pi / 4, 0.0, np.pi / 2, np.pi / 2, np.pi / 2))
+        psi = family_state("ghz", np.pi / 4, 0.0, np.pi / 2, np.pi / 2, np.pi / 2)
         assert_allclose(np.abs(psi.amplitudes), np.abs(ghz_state().amplitudes), atol=1e-12)
 
     def test_alpha_zero_face_is_product(self):
-        psi = ghz_class(GHZClassParams(0.3, 1.0, 0.0, 0.0, 0.0, degenerate=True))
+        psi = family_state("ghz", 0.3, 1.0, 0.0, 0.0, 0.0)
         expected = np.zeros(8)
         expected[0] = 1
         assert_allclose(np.abs(psi.amplitudes), expected, atol=1e-12)
 
-    def test_face_needs_flag(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            GHZClassParams(0.3, 1.0, 0.0, 0.0, 0.0)
-
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            GHZClassParams(1.0, 0.0, 0.5, 0.5, 0.5)  # theta > pi/4
+            family_state("ghz", 1.0, 0.0, 0.5, 0.5, 0.5)  # theta > pi/4
         with pytest.raises(ValueError):
-            GHZClassParams(0.3, 7.0, 0.5, 0.5, 0.5)  # kappa > 2pi
+            family_state("ghz", 0.3, 7.0, 0.5, 0.5, 0.5)  # kappa > 2pi
 
     def test_normalization_generic(self):
-        psi = ghz_class(PATH_GHZ_ENDPOINT)
+        psi = family_state("ghz", *PATH_GHZ_ENDPOINT)
         assert_allclose(np.linalg.norm(psi.amplitudes), 1.0, atol=1e-12)
 
     def test_symmetric_matches_general(self):
-        sym = symmetric_ghz(0.5, 2.0, 0.8)
-        gen = ghz_class(GHZClassParams(0.5, 2.0, 0.8, 0.8, 0.8))
+        sym = family_state("ghz-sym", 0.5, 2.0, 0.8)
+        gen = family_state("ghz", 0.5, 2.0, 0.8, 0.8, 0.8)
         assert_allclose(sym.amplitudes, gen.amplitudes, atol=0)
 
     def test_symmetric_under_all_permutations(self):
-        psi = symmetric_ghz(0.6, 1.3, 1.1)
+        psi = family_state("ghz-sym", 0.6, 1.3, 1.1)
         t = psi.amplitudes.reshape(2, 2, 2)
         for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
             assert np.max(np.abs(np.transpose(t, perm) - t)) <= 1e-14
@@ -74,7 +65,7 @@ class TestClosedFormConcurrence:
             ka = rng.uniform(0.0, 2 * np.pi)
             al = rng.uniform(0.05, np.pi / 2)
             closed = symmetric_concurrence_closed_form(th, ka, al)
-            rho = partial_trace(symmetric_ghz(th, ka, al).density(), ("A", "B"))
+            rho = partial_trace(family_state("ghz-sym", th, ka, al).density(), ("A", "B"))
             assert abs(closed - concurrence(rho)) <= 1e-6
 
     def test_array_call_equals_scalar_calls(self):
@@ -118,45 +109,44 @@ class TestClosedFormConcurrence:
 
 class TestWClass:
     def test_theta1_zero_is_product(self):
-        psi = w_class(WClassParams(0.0, 1.0, 2.0, 0.3, 0.4, 0.5))
+        psi = family_state("w", 0.0, 1.0, 2.0, 0.3, 0.4, 0.5)
         expected = np.zeros(8)
         expected[0] = 1
         assert_allclose(np.abs(psi.amplitudes), expected, atol=1e-12)
 
     def test_standard_w_from_half_angles(self):
         # equal weights need theta3 = pi/2 and tan(theta2/2) = sqrt(2)
-        params = WClassParams(np.pi, 2 * np.arctan(np.sqrt(2)), np.pi / 2, 0.0, 0.0, 0.0)
-        psi = w_class(params)
+        psi = family_state("w", np.pi, 2 * np.arctan(np.sqrt(2)), np.pi / 2, 0.0, 0.0, 0.0)
         assert_allclose(np.abs(psi.amplitudes), np.abs(w_state().amplitudes), atol=1e-12)
 
     def test_endpoint_normalized(self):
-        psi = w_class(PATH_W_ENDPOINT)
+        psi = family_state("w", *PATH_W_ENDPOINT)
         assert_allclose(np.linalg.norm(psi.amplitudes), 1.0, atol=1e-12)
 
 
 class TestPaths:
     def test_ghz_path_endpoints(self):
-        start = path_ghz(0.0)
-        assert_allclose(start.amplitudes, ghz_class(PATH_GHZ_ENDPOINT).amplitudes, atol=1e-12)
-        end = path_ghz(np.pi / 2)
+        start = family_state("path-ghz", 0.0)
+        assert_allclose(start.amplitudes, family_state("ghz", *PATH_GHZ_ENDPOINT).amplitudes, atol=1e-12)
+        end = family_state("path-ghz", np.pi / 2)
         assert_allclose(np.abs(end.amplitudes), np.abs(ghz_state().amplitudes), atol=1e-12)
 
     def test_w_path_endpoints(self):
-        assert_allclose(path_w_ghz(0.0).amplitudes, w_class(PATH_W_ENDPOINT).amplitudes, atol=1e-12)
-        assert_allclose(
-            np.abs(path_w_ghz(np.pi / 2).amplitudes), np.abs(ghz_state().amplitudes), atol=1e-12
-        )
+        start = family_state("path-w-ghz", 0.0)
+        assert_allclose(start.amplitudes, family_state("w", *PATH_W_ENDPOINT).amplitudes, atol=1e-12)
+        end = family_state("path-w-ghz", np.pi / 2)
+        assert_allclose(np.abs(end.amplitudes), np.abs(ghz_state().amplitudes), atol=1e-12)
 
     def test_midpoint_normalized(self):
-        for path in (path_ghz, path_w_ghz):
-            psi = path(np.pi / 4)
+        for path in ("path-ghz", "path-w-ghz"):
+            psi = family_state(path, np.pi / 4)
             assert_allclose(np.linalg.norm(psi.amplitudes), 1.0, atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            path_ghz(-0.1)
+            family_state("path-ghz", -0.1)
         with pytest.raises(ValueError):
-            path_w_ghz(2.0)
+            family_state("path-w-ghz", 2.0)
 
 
 class TestHaar:
@@ -193,7 +183,11 @@ class TestHaar:
 
 @pytest.mark.parametrize(
     "build",
-    [path_ghz, path_w_ghz, lambda x: GHZClassParams(0.3, 1.0, x, 0.5, 0.5, degenerate=True)],
+    [
+        lambda x: family_state("path-ghz", x),
+        lambda x: family_state("path-w-ghz", x),
+        lambda x: family_state("ghz", 0.3, 1.0, 0.5, x, 0.5),
+    ],
     ids=["path-ghz", "path-w-ghz", "ghz-alpha"],
 )
 def test_one_range_slack(build):
@@ -204,6 +198,25 @@ def test_one_range_slack(build):
     for x in (-1e-11, np.pi / 2 + 1e-11):
         with pytest.raises(ValueError, match=r"=.* outside \[0, pi/2\]$"):
             build(x)
+
+
+FAMILY_ROWS = {
+    "ghz-sym": [(0.6, 2.2, 0.9), (0.0, 1.0, 0.4), (0.3, 1.0, 0.0)],
+    "ghz": [PATH_GHZ_ENDPOINT, (0.0, 2.0, 0.1, 0.2, 0.3), (0.5, 4.0, 0.7, 0.0, 1.2)],
+    "w": [PATH_W_ENDPOINT, (0.0, 1.0, 2.0, 0.3, 0.4, 0.5)],
+    "path-ghz": [(0.0,), (0.4,), (np.pi / 2,)],
+    "path-w-ghz": [(0.0,), (1.1,), (np.pi / 2,)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_family_state_is_a_batch_of_one(family):
+    """``family_state`` is row 0 of ``family_states`` bit for bit, on the faces (theta = 0,
+    alpha_j = 0, the paths' ends) as inside."""
+    for row in FAMILY_ROWS[family]:
+        psi = family_state(family, *row)
+        assert psi.labels == ("A", "B", "C")
+        assert psi.amplitudes.tobytes() == family_states(family, [row])[0].tobytes()
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])
