@@ -13,8 +13,6 @@ from .qcore import (
     load_state,
     partial_trace,
     save_state,
-    schmidt_sq_max,
-    tensor,
     vn_entropy,
 )
 from .measures import (
@@ -23,12 +21,10 @@ from .measures import (
     concurrence,
     conditional_entropy_min,
     discord,
-    eof_two_qubit,
     ggm,
 )
 from .monogamy import (
     MonogamyReport,
-    cond_entropy_bounds,
     delta_c,
     delta_d,
 )
@@ -42,7 +38,6 @@ from .bell import (
 from .states import (
     family_state,
     ghz_state,
-    haar_random,
     symmetric_concurrence_closed_form,
     w_state,
 )

@@ -230,5 +230,6 @@ def mk_symmetric_closed_form(theta, alpha, kappa):
         * np.sin(alpha) ** 3
         * np.sin(theta)
         * (np.cos(theta) * np.cos(kappa) + np.cos(alpha) ** 3 * np.sin(theta))
+        + 0.0  # a face (sin = 0) times a negative bracket is -0.0; CSVs print 0
     )
     return float(value) if value.ndim == 0 else value

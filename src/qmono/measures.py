@@ -235,11 +235,6 @@ def eof_batch(c) -> np.ndarray:
     return binary_entropy(_smaller_eig(np.asarray(c, dtype=float) ** 2))
 
 
-def eof_two_qubit(rho: DensityMatrix) -> float:
-    """Entanglement of formation of a 2-qubit state: a batch of one of ``eof_batch``."""
-    return float(eof_batch(concurrence(rho)))
-
-
 # --- pure three-qubit batches ---------------------------------------------------
 #
 # (K, 8) amplitudes in the basis order |abc> -> 4a + 2b + c.  The scores take

@@ -44,7 +44,9 @@ class MonogamyReport:
 
     ``prop2_residual`` is Prop 2's S_A - S(A|B) - S(A|C), None for mixed inputs.  It
     equals delta_D up to rounding: S_A is the entropy table's, and S_AB = S_C.
-    ``bound_lower`` and ``bound_upper`` are ``cond_entropy_bounds`` on S(A|B) + S(A|C), None if mixed.
+    ``bound_lower`` and ``bound_upper`` bracket S(A|B) + S(A|C) by entropies alone, None if mixed:
+    upper = min[S_A, S_B] + min[S_A, S_C] and
+    lower = max[S_A - S_AB, S_B - S_AB, 0] + max[S_A - S_AC, S_C - S_AC, 0], with S_AB = S_C.
     """
 
     nodal: str
@@ -147,7 +149,11 @@ def delta_d(state, nodal: str, *, restarts: int = SEARCH_RESTARTS_DEFAULT, seed:
     s_a = entropy(nodal)
     prop2 = s_a - cond_ab - cond_ac if pure else None
     slack = cond_ab + cond_ac - d_a_bc
-    bound_lower, bound_upper = _bracket(entropy, nodal, *others) if pure else (None, None)
+    bound_lower = bound_upper = None
+    if pure:
+        s_b, s_c = entropy(others[0]), entropy(others[1])  # S_AB = S_C and S_AC = S_B
+        bound_lower = float(max(s_a - s_c, s_b - s_c, 0.0) + max(s_a - s_b, s_c - s_b, 0.0))
+        bound_upper = float(min(s_a, s_b) + min(s_a, s_c))
 
     return MonogamyReport(
         nodal=nodal,
@@ -178,22 +184,3 @@ def delta_c(psi: PureState, nodal: str) -> float:
     state: a batch of one of ``measures.pure_scores_batch``."""
     return float(pure_scores_batch(pure_qubit_batch(psi, nodal))[1][0])
 
-
-def _bracket(entropy, a, b, c) -> tuple[float, float]:
-    """``cond_entropy_bounds`` from a pure state's ``_entropy_table``, nodal party ``a``."""
-    s_a, s_b, s_c = entropy(a), entropy(b), entropy(c)  # S_AB = S_C and S_AC = S_B
-    lower = max(s_a - s_c, s_b - s_c, 0.0) + max(s_a - s_b, s_c - s_b, 0.0)
-    return float(lower), float(min(s_a, s_b) + min(s_a, s_c))
-
-
-def cond_entropy_bounds(psi, nodal: str) -> tuple[float, float]:
-    """Entropy-only bracket for S(A|B) + S(A|C) on pure tripartite states.
-
-    upper = min[S_A, S_B] + min[S_A, S_C];
-    lower = max[S_A - S_AB, S_B - S_AB, 0] + max[S_A - S_AC, S_C - S_AC, 0],
-    read from the single-site entropies: S_AB = S_C and S_AC = S_B.
-    """
-    rho, others = _three_parties(psi, nodal)
-    if not rho.is_pure():
-        raise ValueError("cond_entropy_bounds requires a pure state")
-    return _bracket(_entropy_table(rho, nodal, True)[1], nodal, *others)

@@ -94,15 +94,12 @@ class PureState(_Parties):
         m = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(m, self.dims, self.labels)
 
-    def marginal(self, keep) -> "DensityMatrix":
-        return partial_trace(self.density(), keep)
-
 
 @dataclass(frozen=True)
 class DensityMatrix(_Parties):
     """Hermitian, PSD, unit-trace operator with explicit subsystem dims.  ``spectrum`` is
     derived, not set: the PSD check's ascending eigenvalues, clipped at 0 and read-only, which
-    ``vn_entropy`` and ``schmidt_sq_max`` read, so a matrix is diagonalized once."""
+    ``vn_entropy`` reads, so a matrix is diagonalized once."""
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -161,21 +158,6 @@ class Bipartition:
             )
 
 
-def tensor(a, b):
-    """Kronecker product of two states of the same kind.
-
-    Dims and labels concatenate (colliding labels are replaced by fresh
-    defaults); the ordering is consistent with the package index convention
-    (left operand most significant).
-    """
-    labels = a.labels + b.labels if set(a.labels).isdisjoint(b.labels) else ()  # () takes defaults
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amplitudes, b.amplitudes), a.dims + b.dims, labels)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.matrix, b.matrix), a.dims + b.dims, labels)
-    raise ValueError("tensor requires two PureStates or two DensityMatrices")
-
-
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every party not in ``keep`` and order the kept ones as ``keep`` lists them (a
     label or a set keeps label order; every label only reorders); unknown or repeated labels raise."""
@@ -218,12 +200,6 @@ def binary_entropy(p):
     q_log_q = np.where(q <= XLOG_FLOOR, 0.0, q * np.log1p(np.maximum(-p, XLOG_FLOOR - 1)) / np.log(2))
     out = -(xlog2x(p) + q_log_q)  # -(0.0 + -0.0) at p = 0
     return float(out) if out.ndim == 0 else out
-
-
-def schmidt_sq_max(psi: PureState, cut: Bipartition) -> float:
-    """Largest squared Schmidt coefficient across the given cut."""
-    cut.check_covers(psi.labels)
-    return float(psi.marginal(cut.side_one).spectrum[-1])
 
 
 # --- JSON state files -------------------------------------------------------

@@ -146,9 +146,3 @@ def haar_random_amplitudes(n: int, seed, dim: int = 8) -> np.ndarray:
     z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
-
-def haar_random(seed, dims=(2, 2, 2)) -> PureState:
-    """One Haar-random pure state (independent complex Gaussians, normalized)."""
-    dims = tuple(dims)
-    amps = haar_random_amplitudes(1, seed, dim=int(np.prod(dims)))[0]
-    return PureState(amps, dims)

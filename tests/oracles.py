@@ -7,7 +7,7 @@ with the value it checks.
 
 import numpy as np
 
-from qmono.measures import discord, eof_two_qubit
+from qmono.measures import concurrence, discord, eof_batch
 from qmono.monogamy import delta_d
 from qmono.qcore import Bipartition, PureState, partial_trace, vn_entropy
 
@@ -21,7 +21,7 @@ def cut_of(labels, side_one) -> Bipartition:
 def eof_pure(psi: PureState, cut: Bipartition) -> float:
     """Entanglement of formation of a pure state across a cut, in bits."""
     cut.check_covers(psi.labels)
-    return vn_entropy(psi.marginal(cut.side_one))
+    return vn_entropy(partial_trace(psi.density(), cut.side_one))
 
 
 def _pure_parts(psi, nodal):
@@ -80,7 +80,7 @@ def kw_residual(psi: PureState, nodal: str, **opt) -> float:
     code path.
     """
     rho, others, s_a = _pure_parts(psi, nodal)
-    ef_ab = eof_two_qubit(partial_trace(rho, (nodal, others[0])))
+    ef_ab = eof_batch(concurrence(partial_trace(rho, (nodal, others[0]))))
     return ef_ab + _pair_discord(rho, nodal, others[1], **opt).classical_correlation - s_a
 
 
@@ -88,4 +88,4 @@ def discord_eof_pure_identity(psi: PureState, nodal: str, **opt) -> float:
     """(D_AB + D_AC) - (E^f_AB + E^f_AC); vanishes for pure tripartite states."""
     rho, others, _ = _pure_parts(psi, nodal)
     d_sum = sum(_pair_discord(rho, nodal, o, **opt).discord for o in others)
-    return float(d_sum - sum(eof_two_qubit(partial_trace(rho, (nodal, o))) for o in others))
+    return float(d_sum - sum(eof_batch(concurrence(partial_trace(rho, (nodal, o)))) for o in others))

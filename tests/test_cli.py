@@ -13,9 +13,9 @@ from numpy.testing import assert_allclose
 
 import qmono
 from qmono.cli import _axis_values, main, parse_config_file
-from qmono.qcore import DensityMatrix, UsageError, save_state
+from qmono.qcore import DensityMatrix, PureState, UsageError, save_state
 from qmono.scan import sample_experiment
-from qmono.states import family_state, ghz_state, haar_random
+from qmono.states import family_state, ghz_state, haar_random_amplitudes
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ class TestMeasuresCommand:
     def test_qutrit_nodal_pure_state(self, tmp_path, capsys):
         # the two-party discords keep a qutrit and measure a qubit
         path = tmp_path / "qutrit.json"
-        save_state(haar_random(5, (3, 2, 2)), path)
+        save_state(PureState(haar_random_amplitudes(1, 5, dim=12)[0], (3, 2, 2)), path)
         assert main(["measures", "--state", str(path)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["delta_C"] is None
@@ -106,7 +106,7 @@ class TestMeasuresCommand:
     def test_qubit_nodal_measures_qutrit(self, tmp_path, capsys, nodal):
         # D(nodal, A) measures the qutrit A
         path = tmp_path / "qutrit.json"
-        save_state(haar_random(5, (3, 2, 2)), path)
+        save_state(PureState(haar_random_amplitudes(1, 5, dim=12)[0], (3, 2, 2)), path)
         assert main(["measures", "--state", str(path), "--nodal", nodal, "--restarts", "8"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["nodal"] == nodal and data["D_A_BC_kernel"] == "pure"

@@ -16,7 +16,7 @@ from qmono.measures import unitary_from_angles
 from qmono.monogamy import delta_c, delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, UsageError, state_to_dict
 from qmono.scan import find_zero_crossings, grid_scan, path_trace, prop4_check, sample_experiment, surface_zero
-from qmono.states import family_state, family_states, ghz_state, haar_random
+from qmono.states import family_state, family_states, ghz_state, haar_random_amplitudes
 
 Z, X = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
 GHZ_SYM_AXES = [("theta", [0.3]), ("kappa", [0.0]), ("alpha", [0.5])]
@@ -73,8 +73,8 @@ USAGE = {
     ),
     "path-resolution": (lambda: path_trace("ghz", 1), "resolution must be >= 2, got 1"),
     "sample-none": (lambda: sample_experiment(0, seed=1), "n must be >= 1, got 0"),
-    "delta-d-restarts": (lambda: delta_d(haar_random(1), "A", restarts=0, seed=-3), "restarts must be >= 1, got 0"),
-    "delta-d-seed": (lambda: delta_d(haar_random(1), "A", seed=-3), "seed must be >= 0, got -3"),
+    "delta-d-restarts": (lambda: delta_d(PureState(haar_random_amplitudes(1, 1)[0], (2, 2, 2)), "A", restarts=0, seed=-3), "restarts must be >= 1, got 0"),
+    "delta-d-seed": (lambda: delta_d(PureState(haar_random_amplitudes(1, 1)[0], (2, 2, 2)), "A", seed=-3), "seed must be >= 0, got -3"),
     "entropy-restarts": (lambda: conditional_entropy_min(MIXED, A_BC, restarts=0), "restarts must be >= 1, got 0"),
     "entropy-seed": (lambda: conditional_entropy_min(MIXED, A_BC, seed=-1), "seed must be >= 0, got -1"),
     "discord-restarts": (lambda: discord(ghz_state().density(), A_BC, restarts=0, seed=-5), "restarts must be >= 1, got 0"),

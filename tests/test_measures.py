@@ -16,14 +16,13 @@ from qmono.measures import (
     discord,
     minimize,
     eof_batch,
-    eof_two_qubit,
     pure_scores_batch,
     unitary_from_angles,
     _minimize_dim4_side,
 )
 from qmono.monogamy import delta_d
 from qmono.qcore import Bipartition, DensityMatrix, PureState, UsageError, partial_trace, vn_entropy
-from qmono.states import haar_random
+from qmono.states import haar_random_amplitudes
 
 from oracles import eof_pure
 
@@ -168,14 +167,14 @@ class TestEoF:
         assert_allclose(eof_pure(w, cut), np.log2(3) - 2 / 3, atol=1e-12)
 
     def test_two_qubit_extremes(self):
-        assert_allclose(eof_two_qubit(bell_phi_plus().density()), 1.0, atol=1e-10)
-        assert_allclose(eof_two_qubit(dm(np.diag([1.0, 0, 0, 0]))), 0.0, atol=1e-12)
+        assert_allclose(eof_batch(concurrence(bell_phi_plus().density())), 1.0, atol=1e-10)
+        assert_allclose(eof_batch(concurrence(dm(np.diag([1.0, 0, 0, 0])))), 0.0, atol=1e-12)
 
     def test_two_qubit_w_marginal(self):
         # C = 2/3 so h = (1 + sqrt(5)/3)/2; evaluate H(h) independently
         h = (1 + np.sqrt(5) / 3) / 2
         expected = -h * np.log2(h) - (1 - h) * np.log2(1 - h)
-        assert_allclose(eof_two_qubit(w_marginal()), expected, atol=1e-9)
+        assert_allclose(eof_batch(concurrence(w_marginal())), expected, atol=1e-9)
         assert_allclose(expected, 0.55005, atol=5e-5)
 
     def test_zero_concurrence_is_negative_zero(self):
@@ -520,7 +519,7 @@ class TestNewtonPolish:
         for rank in (3, 4, 5, 6, 7, 8) * 2:
             _minimize_dim4_side(wishart_state(rng, 8, (2, 2, 2), rank=rank).matrix, 2, restarts=4, seed=0)
         for seed in range(4):  # d = 3: the measured qutrit of a [3, 2, 2] state
-            rho = partial_trace(haar_random(seed, (3, 2, 2)).density(), ("A", "B"))
+            rho = partial_trace(PureState(haar_random_amplitudes(1, seed, dim=12)[0], (3, 2, 2)).density(), ("A", "B"))
             conditional_entropy_min(rho, Bipartition(("B",), ("A",)), restarts=4, seed=seed)
         assert len(calls) == 16
         for start, polished, ref in calls:
@@ -545,12 +544,12 @@ class TestMeasuredQutrit:
         rho_BC can need 4 members, which a projective qutrit measurement lacks."""
         entangled = 0
         for seed in range(8):
-            rho = haar_random(seed, (3, 2, 2)).density()
+            rho = PureState(haar_random_amplitudes(1, seed, dim=12)[0], (3, 2, 2)).density()
             val, basis = conditional_entropy_min(
                 partial_trace(rho, ("A", "B")), Bipartition(("B",), ("A",)), restarts=16, seed=seed
             )
             rho_bc = partial_trace(rho, ("B", "C"))
-            ef = eof_two_qubit(rho_bc)
+            ef = eof_batch(concurrence(rho_bc))
             assert val >= ef - 1e-9
             if concurrence(rho_bc) > 1e-6:
                 entangled += 1

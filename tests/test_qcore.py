@@ -12,20 +12,14 @@ from qmono.qcore import (
     load_state,
     partial_trace,
     save_state,
-    schmidt_sq_max,
     state_from_dict,
     state_to_dict,
-    tensor,
     vn_entropy,
     xlog2x,
 )
 from qmono.states import haar_random_amplitudes
 
 from oracles import cut_of
-
-KET0 = PureState([1, 0], (2,), ("A",))
-PLUS = PureState([1, 1], (2,), ("A",))
-
 
 def ghz():
     a = np.zeros(8)
@@ -65,9 +59,9 @@ class TestPureState:
         amps = np.zeros(8)
         amps[3] = 1
         psi = PureState(amps, (2, 2, 2))
-        rho_a = psi.marginal("A").matrix
+        rho_a = partial_trace(psi.density(), "A").matrix
         assert_allclose(rho_a, np.diag([1, 0]), atol=1e-12)
-        rho_c = psi.marginal("C").matrix
+        rho_c = partial_trace(psi.density(), "C").matrix
         assert_allclose(rho_c, np.diag([0, 1]), atol=1e-12)
 
     def test_length_mismatch_rejected(self):
@@ -162,29 +156,6 @@ class TestBipartition:
         cut = Bipartition(("A",), ("B",))
         with pytest.raises(ValueError):
             cut.check_covers(("A", "B", "C"))
-
-
-class TestTensor:
-    def test_basis_kets(self):
-        psi = tensor(KET0, KET0)
-        assert_allclose(psi.amplitudes, [1, 0, 0, 0], atol=1e-15)
-
-    def test_identity_halves(self):
-        half = DensityMatrix(np.eye(2) / 2, (2,), ("A",))
-        other = DensityMatrix(np.eye(2) / 2, (2,), ("B",))
-        assert_allclose(tensor(half, other).matrix, np.eye(4) / 4, atol=1e-15)
-
-    def test_plus_zero(self):
-        psi = tensor(PLUS, PureState([1, 0], (2,), ("B",)))
-        assert_allclose(psi.amplitudes, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0], atol=1e-12)
-
-    def test_colliding_labels_become_defaults(self):
-        assert tensor(KET0, PLUS).labels == ("A", "B")
-        assert tensor(KET0.density(), PLUS.density()).labels == ("A", "B")
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError):
-            tensor(KET0, DensityMatrix(np.eye(2) / 2, (2,), ("B",)))
 
 
 class TestPartialTrace:
@@ -337,10 +308,15 @@ class TestEntropy:
                 assert abs(s_pair - s_single) <= 1e-10
 
 
+def top_schmidt_sq(psi, cut):
+    """Largest squared Schmidt coefficient across ``cut``: the top of one side's spectrum."""
+    return partial_trace(psi.density(), cut.side_one).spectrum[-1]
+
+
 class TestSchmidt:
     def test_ghz_half(self):
         cut = Bipartition(("A",), ("B", "C"))
-        assert_allclose(schmidt_sq_max(ghz(), cut), 0.5, atol=1e-12)
+        assert_allclose(top_schmidt_sq(ghz(), cut), 0.5, atol=1e-12)
 
     def test_product_state(self):
         amps = np.zeros(8)
@@ -348,18 +324,18 @@ class TestSchmidt:
         psi = PureState(amps, (2, 2, 2))
         for side in ("A", "B", "C"):
             cut = cut_of(psi.labels, (side,))
-            assert_allclose(schmidt_sq_max(psi, cut), 1.0, atol=1e-12)
+            assert_allclose(top_schmidt_sq(psi, cut), 1.0, atol=1e-12)
 
     def test_w_two_thirds(self):
         cut = Bipartition(("A",), ("B", "C"))
-        assert_allclose(schmidt_sq_max(w_state(), cut), 2 / 3, atol=1e-12)
+        assert_allclose(top_schmidt_sq(w_state(), cut), 2 / 3, atol=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(9)
         cut = Bipartition(("A",), ("B", "C"))
         for _ in range(50):
             z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            val = schmidt_sq_max(PureState(z, (2, 2, 2)), cut)
+            val = top_schmidt_sq(PureState(z, (2, 2, 2)), cut)
             assert 0.5 - 1e-12 <= val <= 1.0 + 1e-12
 
 

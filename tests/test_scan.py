@@ -15,7 +15,7 @@ from qmono.measures import (
     conditional_entropy_qubit_batch,
     eof_batch,
 )
-from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, schmidt_sq_max, vn_entropy
+from qmono.qcore import Bipartition, DensityMatrix, PureState, partial_trace, vn_entropy
 from qmono.scan import (
     _CHUNK,
     ScanTable,
@@ -58,13 +58,15 @@ class TestBatchKernels:
             assert abs(batch[i] - search) <= 1e-7
 
     def test_ggm_matches_scalar(self):
-        # against the Schmidt coefficients of the three single-site cuts
+        # against the largest squared Schmidt coefficients of the three single-site cuts, read
+        # from eigvalsh spectra of the traced sites (not the 2x2 closed form ggm_batch takes)
         amps = haar_random_amplitudes(10, 23)
         batch = ggm_batch(amps)
         for i in range(10):
-            psi = PureState(amps[i], (2, 2, 2))
+            rho = PureState(amps[i], (2, 2, 2)).density()
             cuts = [Bipartition((x,), tuple(y for y in "ABC" if y != x)) for x in "ABC"]
-            assert abs(batch[i] - (1 - max(schmidt_sq_max(psi, c) for c in cuts))) <= 1e-12
+            top = max(partial_trace(rho, c.side_one).spectrum[-1] for c in cuts)
+            assert abs(batch[i] - (1 - top)) <= 1e-12
         # the alpha = 0 and theta = 0 faces are product states: GGM 0, not rounded below it
         rows = np.random.default_rng(29).uniform(0.0, [np.pi / 4, 2 * np.pi, np.pi / 2], (4000, 3))
         rows[:2000, 2] = rows[2000:, 0] = 0.0
@@ -279,6 +281,18 @@ class TestGridScan:
             assert abs(delta_d) <= 1e-6
             assert zero_band
             assert ggm_ <= 1e-8
+
+    def test_face_mk_is_not_negative_zero(self):
+        # alpha = 0 or theta = 0 with cos(theta) cos(kappa) + cos^3(alpha) sin(theta) < 0: a -0.0
+        # there would print as -0 in the CSV
+        axes = [
+            ("alpha", np.linspace(0, 1.5707963, 8)),
+            ("theta", np.linspace(0, 0.7853981, 8)),
+            ("kappa", np.linspace(0, 6.2831853, 8)),
+        ]
+        mk = grid_scan("ghz-sym", axes).mk
+        assert len(mk) == 512 and np.count_nonzero(mk == 0.0) > 0
+        assert not np.any((mk == 0.0) & np.signbit(mk))
 
     def test_ggm_rises_along_alpha_line(self):
         axes = [("theta", [np.pi / 4]), ("kappa", [0.2]), ("alpha", np.linspace(0.1, np.pi / 2, 12))]

@@ -11,7 +11,6 @@ from qmono.states import (
     family_state,
     family_states,
     ghz_state,
-    haar_random,
     haar_random_amplitudes,
     symmetric_concurrence_closed_form,
     w_state,
@@ -151,11 +150,11 @@ class TestPaths:
 
 class TestHaar:
     def test_deterministic_per_seed(self):
-        a = haar_random(123)
-        b = haar_random(123)
-        assert_allclose(a.amplitudes, b.amplitudes, atol=0)
-        c = haar_random(124)
-        assert np.max(np.abs(a.amplitudes - c.amplitudes)) > 1e-3
+        a = haar_random_amplitudes(1, 123)
+        b = haar_random_amplitudes(1, 123)
+        assert_allclose(a, b, atol=0)
+        c = haar_random_amplitudes(1, 124)
+        assert np.max(np.abs(a - c)) > 1e-3
 
     def test_normalized(self):
         amps = haar_random_amplitudes(100, 5)
