@@ -1,19 +1,20 @@
-"""Mermin-Klyshko Bell operators, expectation values and settings search.
+"""Mermin-Klyshko Bell operator, expectation values and settings search.
 
-The N-qubit operator is built by the recursion
+The three-qubit MK inequality is defined once, as the coefficient tensor ``_MK``
+over the eight correlators of each party's two directions, a_p^(0) = a_p and
+a_p^(1) = a_p':
 
-    B_k  = (1/2) B_{k-1} (x) (s_a + s_a') + (1/2) B'_{k-1} (x) (s_a - s_a')
-    B'_k = (1/2) B'_{k-1} (x) (s_a + s_a') - (1/2) B_{k-1} (x) (s_a - s_a')
+    tr(B_3 eta) = sum_s c[s1, s2, s3] T(a1^(s1), a2^(s2), a3^(s3)),
 
-from B_1 = s_{a_1}, B'_1 = s_{a_1'}; B'_k is B_k with every a_j and a_j'
-interchanged, which is where the minus sign in the second line comes from.
-s_a is the Pauli vector contraction a_x sx + a_y sy + a_z sz.  A state eta
-violates local realism when |tr(B_N eta)| > 1; the operator norm of B_N is
-at most 2^((N-1)/2).
+with c = 1/2 at (0,1,0), (1,0,0) and (0,0,1), c = -1/2 at (1,1,1) and 0 elsewhere,
+on the correlation tensor T_ijk = tr(eta s_i (x) s_j (x) s_k).  s_a is the Pauli
+vector contraction a_x sx + a_y sy + a_z sz.  A state eta violates local realism
+when |tr(B_3 eta)| > 1; the operator norm of B_3 is at most 2.  Two readers take
+the coefficients from ``_MK``: ``mk_operator`` sums c_s s_a1 (x) s_a2 (x) s_a3 into
+the 8 x 8 operator, whose trace with eta is ``mk_expectation``, and ``_party_maps``
+folds them into T for the search.
 
-For N = 3, tr(B_3 eta) = (1/2)[T(a1,a2',a3) + T(a1',a2,a3) + T(a1,a2,a3')
-- T(a1',a2',a3')] on the correlation tensor T_ijk = tr(eta s_i (x) s_j (x) s_k).
-It is linear in each party's pair (a_p, a_p'), so with the others fixed the
+tr(B_3 eta) is linear in each party's pair (a_p, a_p'), so with the others fixed the
 best pair is a closed form (Werner & Wolf, PRA 64, 032112 (2001)): the
 see-saw that ``mk_optimize`` runs from many starts before a Newton polish.
 Both read T through one (36, 6) party map per party p, folded once per
@@ -32,11 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, minimize, row_norm, tangent_frame
+from .measures import _PAULI, bloch_vector, minimize, row_norm, tangent_frame
 from .qcore import INPUT_TOL, DensityMatrix, PureState, check_arg
 
-_MAX_PARTIES = 6
-_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAULIS = _PAULI[1:]  # s_x, s_y, s_z
+# [s1, s2, s3]: the coefficient of T(a1^(s1), a2^(s2), a3^(s3)) in tr(B_3 eta); s_p = 1 is primed.
+_MK = np.zeros((2, 2, 2))
+_MK[0, 1, 0] = _MK[1, 0, 0] = _MK[0, 0, 1] = 0.5
+_MK[1, 1, 1] = -0.5
 # The see-saw converges linearly (a start can still gain 1e-6 per sweep after 300
 # sweeps), so it only carries each start into its basin: on 150 Haar and Ginibre
 # states at 2 restarts, 20 sweeps picked a 256-start reference's basin; 50 leave margin.
@@ -45,13 +49,13 @@ _SEESAW_MAX_SWEEPS = 50
 MK_RESTARTS_DEFAULT = 100  # random starts of one state's search, ``qmono bell --restarts``
 _PARTIES = np.arange(3)
 _OTHER_Q, _OTHER_R = np.array([1, 0, 0]), np.array([2, 2, 1])  # the parties q < r other than p
-# [w, s, t]: the sign of T(a_q^(s), a_r^(t)) in row w, u (w = 0) or v (w = 1); s, t = 1 is primed.
-_UV_SIGNS = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+# 2 c, party p's index moved first: [p, w, s, t], the sign of T(a_q^(s), a_r^(t)) in p's row w (u, v).
+_SIGNS = 2 * np.stack([np.moveaxis(_MK, p, 0) for p in range(3)])
 
 
 @dataclass(frozen=True)
 class MKSettings:
-    """Two unit measurement directions per party."""
+    """Two unit measurement directions, a and a', for each of the three parties."""
 
     a: tuple[np.ndarray, ...]
     a_prime: tuple[np.ndarray, ...]
@@ -59,8 +63,8 @@ class MKSettings:
     def __post_init__(self):
         a = tuple(np.asarray(v, dtype=float) for v in self.a)
         ap = tuple(np.asarray(v, dtype=float) for v in self.a_prime)
-        if len(a) != len(ap) or not a:
-            raise ValueError("need matching nonempty direction lists")
+        if len(a) != 3 or len(ap) != 3:
+            raise ValueError("need three directions a and three a'")
         for v in a + ap:
             if v.shape != (3,):
                 raise ValueError("directions must be 3-vectors")
@@ -70,24 +74,14 @@ class MKSettings:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "a_prime", ap)
 
-    @property
-    def n_parties(self) -> int:
-        return len(self.a)
-
     @classmethod
     def from_angles(cls, angles) -> "MKSettings":
-        """Build from a flat (theta, phi) pair per direction, a's then a''s."""
+        """Build from 12 angles, a flat (theta, phi) pair per direction, a's then a''s."""
         angles = np.asarray(angles, dtype=float).ravel()
-        if angles.size % 4:
-            raise ValueError("need 4 angles per party")
-        n = angles.size // 4
+        if angles.size != 12:
+            raise ValueError("expected 12 angles")
         vecs = bloch_vector(angles[0::2], angles[1::2]).T
-        return cls(tuple(vecs[:n]), tuple(vecs[n:]))
-
-
-def pauli_operator(direction) -> np.ndarray:
-    d = np.asarray(direction, dtype=float)
-    return d[0] * SIGMA_X + d[1] * SIGMA_Y + d[2] * SIGMA_Z
+        return cls(tuple(vecs[:3]), tuple(vecs[3:]))
 
 
 def _mk_operator_from_angles(angles) -> np.ndarray:
@@ -97,41 +91,34 @@ def _mk_operator_from_angles(angles) -> np.ndarray:
 
 
 def mk_operator(settings: MKSettings) -> np.ndarray:
-    """Hermitian 2^N x 2^N Bell operator for the given settings."""
-    n = settings.n_parties
-    if n > _MAX_PARTIES:
-        raise ValueError(f"operator size 2^{n} refused (max {_MAX_PARTIES} parties)")
-    b, bp = pauli_operator(settings.a[0]), pauli_operator(settings.a_prime[0])
-    for av, apv in zip(settings.a[1:], settings.a_prime[1:]):
-        s, d = pauli_operator(av) + pauli_operator(apv), pauli_operator(av) - pauli_operator(apv)
-        b, bp = (np.kron(b, s) + np.kron(bp, d)) / 2, (np.kron(bp, s) - np.kron(b, d)) / 2
-    return b
+    """Hermitian 8 x 8 Bell operator sum_s c_s s(a1^(s1)) (x) s(a2^(s2)) (x) s(a3^(s3))."""
+    sigma = np.einsum("spi,iab->psab", np.array([settings.a, settings.a_prime]), _PAULIS)  # [p, s]
+    return np.einsum("xyz,xab,ycd,zef->acebdf", _MK, *sigma).reshape(8, 8)
 
 
-def _density_matrix(state, n_qubits: int) -> np.ndarray:
-    """The state as a 2^n x 2^n matrix; a pure state becomes |psi><psi|.  A raw array is
-    checked first, as an n-qubit ``PureState`` (1-D) or ``DensityMatrix`` (otherwise)."""
+def _density_matrix(state) -> np.ndarray:
+    """The state as an 8 x 8 matrix; a pure state becomes |psi><psi|.  A raw array is
+    checked first, as a three-qubit ``PureState`` (1-D) or ``DensityMatrix`` (otherwise)."""
     if not isinstance(state, (PureState, DensityMatrix)):
         arr = np.asarray(state)
-        state = (PureState if arr.ndim == 1 else DensityMatrix)(arr, (2,) * n_qubits)
+        state = (PureState if arr.ndim == 1 else DensityMatrix)(arr, (2, 2, 2))
     if isinstance(state, PureState):
         state = state.density()
-    if state.matrix.shape != (2**n_qubits,) * 2:
-        raise ValueError(f"state of shape {state.matrix.shape} is not a {n_qubits}-qubit state")
+    if state.matrix.shape != (8, 8):
+        raise ValueError(f"state of shape {state.matrix.shape} is not a three-qubit state")
     return state.matrix
 
 
 def mk_expectation(state, settings: MKSettings) -> float:
-    """tr(B_N eta); |value| > 1 witnesses violation of local realism."""
-    rho = _density_matrix(state, settings.n_parties)
-    return float(np.trace(mk_operator(settings) @ rho).real)
+    """tr(B_3 eta); |value| > 1 witnesses violation of local realism."""
+    return float(np.trace(mk_operator(settings) @ _density_matrix(state)).real)
 
 
 def _party_maps(t) -> np.ndarray:
     """(3, 36, 6): party p's map from (a_q, a_q') (x) (a_r, a_r'), q < r the other two,
-    to its rows (u, v), u = T(a_q', a_r) + T(a_q, a_r') and v = T(a_q, a_r) - T(a_q', a_r')."""
+    to its rows (u, v), row w = 2 sum_{s,t} c[p: w, q: s, r: t] T(., a_q^(s), a_r^(t))."""
     tp = np.stack([np.moveaxis(t, p, 0) for p in range(3)])  # [p, i, j, k]: i party p's index
-    return np.einsum("wst,pijk->psjtkwi", _UV_SIGNS, tp).reshape(3, 36, 6)
+    return np.einsum("pwst,pijk->psjtkwi", _SIGNS, tp).reshape(3, 36, 6)
 
 
 def _party_rows(maps, s, p) -> np.ndarray:
@@ -192,7 +179,7 @@ def mk_optimize(state, restarts: int = MK_RESTARTS_DEFAULT, seed: int = 0,
     """
     check_arg("restarts", restarts, 1 if initial is None else 0)
     check_arg("seed", seed, 0)
-    rho = _density_matrix(state, 3)
+    rho = _density_matrix(state)
     starts = np.random.default_rng(seed).standard_normal((restarts, 2, 3, 3))
     if initial is not None:
         starts = np.concatenate([[[initial.a, initial.a_prime]], starts])

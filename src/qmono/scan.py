@@ -310,14 +310,19 @@ def find_zero_crossings(
     delta_D is genuinely zero) from minting crossings, and it excludes face
     contacts from the interior count.  It refines them, a few levels per
     call, to the results of scalar bisection.  An empty list means no
-    crossing was found, which is not an error.
+    crossing was found, which is not an error.  ``fixed`` holds exactly the
+    family's parameters other than ``axis``; any other key is a ``UsageError``.
     """
     names = family_params(family)
     if axis not in names:
         raise UsageError(f"axis {axis!r} not a parameter of {family!r}")
-    missing = set(names) - {axis} - set(fixed)
+    if axis in fixed:
+        raise UsageError(f"axis {axis!r} is scanned, so it takes no fixed value")
+    unknown, missing = sorted(set(fixed) - set(names)), sorted(set(names) - {axis} - set(fixed))
+    if unknown:
+        raise UsageError(f"unknown fixed parameters {unknown} for family {family!r}")
     if missing:
-        raise UsageError(f"missing fixed parameters {sorted(missing)}")
+        raise UsageError(f"missing fixed parameters {missing}")
     base = np.array([[0.0 if n == axis else fixed[n] for n in names]], dtype=float)
     _check_root_inputs(lo, hi, presample, xtol, noise_floor)
     axis_idx = names.index(axis)
@@ -422,9 +427,9 @@ def path_trace(
     or below the one traced here.  ``grid_scan`` rejects any other mode.
     """
     check_arg("resolution", resolution, 2)
-    family = {"ghz": "path-ghz", "w-ghz": "path-w-ghz"}.get(path_id, path_id)
-    if family not in ("path-ghz", "path-w-ghz"):
+    if path_id not in ("ghz", "w-ghz"):
         raise UsageError(f"unknown path {path_id!r}")
+    family = f"path-{path_id}"
     axis = (family_params(family)[0], np.linspace(0.0, np.pi / 2, resolution))
     return grid_scan(family, [axis], epsilon, mk_mode, mk_restarts, seed)
 

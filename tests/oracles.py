@@ -7,7 +7,7 @@ with the value it checks.
 
 import numpy as np
 
-from qmono.measures import concurrence, discord, eof_batch
+from qmono.measures import SIGMA_X, SIGMA_Y, SIGMA_Z, concurrence, discord, eof_batch
 from qmono.monogamy import delta_d
 from qmono.qcore import Bipartition, PureState, partial_trace, vn_entropy
 
@@ -89,3 +89,22 @@ def discord_eof_pure_identity(psi: PureState, nodal: str, **opt) -> float:
     rho, others, _ = _pure_parts(psi, nodal)
     d_sum = sum(_pair_discord(rho, nodal, o, **opt).discord for o in others)
     return float(d_sum - sum(eof_batch(concurrence(partial_trace(rho, (nodal, o)))) for o in others))
+
+
+def mk_operator_recursion(settings) -> np.ndarray:
+    """The paper's three-party Mermin-Klyshko operator B_3, built by the recursion
+
+        B_k  = (1/2) B_{k-1} (x) (s_a + s_a') + (1/2) B'_{k-1} (x) (s_a - s_a')
+        B'_k = (1/2) B'_{k-1} (x) (s_a + s_a') - (1/2) B_{k-1} (x) (s_a - s_a')
+
+    from B_1 = s_{a_1}, B'_1 = s_{a_1'}, where B'_k is B_k with every a_j and a_j'
+    interchanged.  It reads no coefficient table, so it checks ``bell._MK``."""
+
+    def sigma(d):
+        return d[0] * SIGMA_X + d[1] * SIGMA_Y + d[2] * SIGMA_Z
+
+    b, bp = sigma(settings.a[0]), sigma(settings.a_prime[0])
+    for av, apv in zip(settings.a[1:], settings.a_prime[1:]):
+        s, d = sigma(av) + sigma(apv), sigma(av) - sigma(apv)
+        b, bp = (np.kron(b, s) + np.kron(bp, d)) / 2, (np.kron(bp, s) - np.kron(b, d)) / 2
+    return b

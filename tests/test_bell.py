@@ -10,51 +10,49 @@ from qmono.bell import (
     mk_operator,
     mk_optimize,
     mk_symmetric_closed_form,
-    pauli_operator,
 )
-from qmono.measures import SIGMA_Z
+from qmono.measures import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qmono.qcore import DensityMatrix, PureState, UsageError
 from qmono.states import family_state, ghz_state, haar_random_amplitudes, w_state
+
+from oracles import mk_operator_recursion
 
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
 
 
-def settings_all(a, ap, n=3):
-    return MKSettings((a,) * n, (ap,) * n)
+def settings_all(a, ap):
+    return MKSettings((a,) * 3, (ap,) * 3)
 
 
-def random_settings(rng, n=3):
-    vecs = rng.standard_normal((2 * n, 3))
+def random_settings(rng):
+    vecs = rng.standard_normal((6, 3))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return MKSettings(tuple(vecs[:n]), tuple(vecs[n:]))
+    return MKSettings(tuple(vecs[:3]), tuple(vecs[3:]))
 
 
 class TestSettings:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
-            MKSettings((np.array([1.0, 1.0, 0.0]),), (Z,))
+            MKSettings((X, np.array([1.0, 1.0, 0.0]), X), (Z,) * 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_direction_rejected(self, bad):
         with pytest.raises(ValueError, match="unit norm"):
-            MKSettings((np.array([bad, 0.0, 0.0]),), (Z,))
+            MKSettings((X, X, np.array([bad, 0.0, 0.0])), (Z,) * 3)
 
 
 class TestOperator:
-    def test_single_party_base_case(self):
-        op = mk_operator(MKSettings((Z,), (X,)))
-        assert_allclose(op, SIGMA_Z, atol=1e-15)
-
-    def test_chsh_norm(self):
-        d1 = (X + Y) / np.sqrt(2)
-        d2 = (X - Y) / np.sqrt(2)
-        op = mk_operator(MKSettings((X, d1), (Y, d2)))
-        assert_allclose(np.abs(np.linalg.eigvalsh(op)).max(), np.sqrt(2), atol=1e-12)
+    def test_matches_the_recursion(self):
+        # the coefficient sum against the paper's party-by-party recursion
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            settings = random_settings(rng)
+            assert np.max(np.abs(mk_operator(settings) - mk_operator_recursion(settings))) <= 1e-14
 
     def test_ghz_magnitude_two(self):
-        # all a = y, a' = x: the recursion leaves only the three-spin terms
+        # all a = y, a' = x: the coefficient sum leaves only the three-spin terms
         # whose GHZ expectations are -1, -1, -1, -(+1)
         op = mk_operator(settings_all(Y, X))
         val = mk_expectation(ghz_state(), MKSettings((Y, Y, Y), (X, X, X)))
@@ -75,15 +73,9 @@ class TestOperator:
 
     def test_operator_norm_ceiling(self):
         rng = np.random.default_rng(8)
-        for n in (1, 2, 3):
-            for _ in range(10):
-                op = mk_operator(random_settings(rng, n))
-                top = np.abs(np.linalg.eigvalsh(op)).max()
-                assert top <= 2 ** ((n - 1) / 2) + 1e-6
-
-    def test_too_many_parties_rejected(self):
-        with pytest.raises(ValueError):
-            mk_operator(settings_all(X, Y, n=7))
+        for _ in range(30):
+            top = np.abs(np.linalg.eigvalsh(mk_operator(random_settings(rng)))).max()
+            assert top <= 2 + 1e-6
 
 
 class TestExpectation:
@@ -113,7 +105,7 @@ class TestOptimize:
     def test_ghz_reaches_two(self):
         val, settings = mk_optimize(ghz_state(), restarts=12, seed=1)
         assert_allclose(val, 2.0, atol=1e-4)
-        assert settings.n_parties == 3
+        assert len(settings.a) == len(settings.a_prime) == 3
 
     def test_product_reaches_one(self):
         amps = np.zeros(8)
@@ -233,12 +225,22 @@ class TestSeesawOracles:
 def correlation_tensor(state):
     """T_ijk = tr(eta s_i (x) s_j (x) s_k) from Kronecker products of the Pauli matrices."""
     rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    paulis = [pauli_operator(e) for e in np.eye(3)]
+    paulis = [SIGMA_X, SIGMA_Y, SIGMA_Z]
     return np.array([[[np.trace(rho @ np.kron(np.kron(si, sj), sk)).real for sk in paulis]
                       for sj in paulis] for si in paulis])
 
 
 class TestPartyMaps:
+    def test_maps_read_the_coefficient_tensor_bit_for_bit(self):
+        # the MK sign table written out by hand: [w, s, t], the sign of T(a_q^(s), a_r^(t))
+        # in row w, u (w = 0) or v (w = 1), the same for every party p
+        uv_signs = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
+        for state in haar_states(4, 33) + ginibre_states(3, 34):
+            t = correlation_tensor(state)
+            tp = np.stack([np.moveaxis(t, p, 0) for p in range(3)])
+            want = np.einsum("wst,pijk->psjtkwi", uv_signs, tp).reshape(3, 36, 6)
+            assert bell._party_maps(t).tobytes() == want.tobytes()
+
     def test_rows_give_the_operator_value_for_every_party(self):
         # (a_p.u + a_p'.v)/2 with party p's rows from its map is tr(B_3 eta) for each p
         rng = np.random.default_rng(28)

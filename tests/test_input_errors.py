@@ -24,10 +24,10 @@ W_AXES_NAMES = ("theta1", "theta2", "theta3", "phi1", "phi2", "phi3")
 W_AXES = [(n, [0.5]) for n in W_AXES_NAMES]
 
 LIBRARY = {
-    "mk-settings-empty": (lambda: MKSettings((), ()), "need matching nonempty direction lists"),
-    "mk-settings-unequal": (lambda: MKSettings((Z, Z), (X,)), "need matching nonempty direction lists"),
-    "mk-settings-2-vectors": (lambda: MKSettings((Z[:2],), (X[:2],)), "directions must be 3-vectors"),
-    "mk-settings-angles": (lambda: MKSettings.from_angles(np.zeros(6)), "need 4 angles per party"),
+    "mk-settings-empty": (lambda: MKSettings((), ()), "need three directions a and three a'"),
+    "mk-settings-unequal": (lambda: MKSettings((Z, Z, Z), (X, X)), "need three directions a and three a'"),
+    "mk-settings-2-vectors": (lambda: MKSettings((Z[:2],) * 3, (X[:2],) * 3), "directions must be 3-vectors"),
+    "mk-settings-angles": (lambda: MKSettings.from_angles(np.zeros(8)), "expected 12 angles"),
     "basis-projector-count": (lambda: MeasurementBasis(("B",), (np.eye(2),)), "need 2 projectors for dimension 2"),
     "discord-not-i-minus-j": (
         lambda: DiscordResult(1.0, 0.5, 0.0, 0.0, None, OptimizerTrace(0, 0.0, "pure")), "discord != I - J",
@@ -71,7 +71,16 @@ USAGE = {
         lambda: find_zero_crossings("ghz-sym", {"theta": 0.3, "kappa": 0.0}, "beta", 0.1, 1.0),
         "axis 'beta' not a parameter of 'ghz-sym'",
     ),
+    "crossing-unknown-fixed": (
+        lambda: find_zero_crossings("ghz-sym", {"theta": 0.4, "kappa": 1.0, "bogus": 3.0}, "alpha", 0.1, 1.0),
+        "unknown fixed parameters ['bogus'] for family 'ghz-sym'",
+    ),
+    "crossing-fixed-axis": (
+        lambda: find_zero_crossings("ghz-sym", {"theta": 0.4, "kappa": 1.0, "alpha": 3.0}, "alpha", 0.1, 1.0),
+        "axis 'alpha' is scanned, so it takes no fixed value",
+    ),
     "path-resolution": (lambda: path_trace("ghz", 1), "resolution must be >= 2, got 1"),
+    "path-family-name": (lambda: path_trace("path-ghz", 5), "unknown path 'path-ghz'"),
     "sample-none": (lambda: sample_experiment(0, seed=1), "n must be >= 1, got 0"),
     "delta-d-restarts": (lambda: delta_d(PureState(haar_random_amplitudes(1, 1)[0], (2, 2, 2)), "A", restarts=0, seed=-3), "restarts must be >= 1, got 0"),
     "delta-d-seed": (lambda: delta_d(PureState(haar_random_amplitudes(1, 1)[0], (2, 2, 2)), "A", seed=-3), "seed must be >= 0, got -3"),
