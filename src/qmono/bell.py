@@ -21,7 +21,8 @@ Both read T through one (36, 6) party map per party p, folded once per
 state: it takes the outer product of the other two parties' settings,
 (a_q, a_q') (x) (a_r, a_r'), to p's rows (u, v) with tr(B_3 eta) =
 (a_p.u + a_p'.v)/2, so a party's rows are one outer product and one
-matmul.  Settings are laid out as (..., 2, 3 parties, 3): a's, then a''s.
+matmul.  The see-saw holds its settings party-major, as (..., 3 parties, 2, 3), so
+party p's pair (a_p, a_p') is the view [:, p]; the polish chart takes a's, then a''s.
 The search returns the polish's value from the party maps and the settings that
 attain it, one point of the flat set of a state's maximizing settings: the value
 reproduces to rounding, the settings to about 1e-7.
@@ -122,13 +123,13 @@ def _party_maps(t) -> np.ndarray:
 
 
 def _party_rows(maps, s, p) -> np.ndarray:
-    """Rows (u, v) at settings s of shape (P, 2, 3 parties, 3): party p's as (P, 2, 3) for an
+    """Rows (u, v) at settings s of shape (P, 3 parties, 2, 3): party p's as (P, 2, 3) for an
     int p, each listed party's as (P, len(p), 2, 3) for an index array p.
 
     Each start and party multiplies one 1 x 36 row by its map, which numpy hands to BLAS
     as matrix-vector products: a first matrix-matrix product would page about 0.3 MB of
     OpenBLAS code and buffers into a process that otherwise never needs them."""
-    x, y = (s[:, :, other[p]].swapaxes(1, -2) for other in (_OTHER_Q, _OTHER_R))  # (P, [n,] 2, 3)
+    x, y = (s[:, other[p]] for other in (_OTHER_Q, _OTHER_R))  # (P, [n,] 2, 3)
     lead = x.shape[:-2]
     # the outer product by einsum: a broadcast multiply of these shapes allocates ~50 KB of buffers
     xy = np.einsum("...i,...j->...ij", x.reshape(*lead, 6), y.reshape(*lead, 6))
@@ -148,7 +149,7 @@ def _negative_mk_and_gradient(xi, maps, vec0, frame):
     directions vec0 (a's then a''s, (6, 3)); ``frame`` holds a tangent basis at each as
     (6, 3, 2) and ``maps`` the party maps of ``_party_maps``."""
     vec, norm = _chart_directions(xi, vec0, frame)
-    rows = _party_rows(maps, vec.reshape(-1, 2, 3, 3), _PARTIES)  # (P, 3 parties, 2, 3)
+    rows = _party_rows(maps, vec.reshape(-1, 2, 3, 3).swapaxes(1, 2), _PARTIES)  # (P, 3 parties, 2, 3)
     grad = 0.5 * rows.swapaxes(1, 2).reshape(-1, 6, 3)  # dB_3/d(vec)
     value = np.sum(vec[:, [0, 3]] * grad[:, [0, 3]], axis=(1, 2))  # B_3 at party p = 0
     grad_w = (grad - np.sum(grad * vec, axis=-1, keepdims=True) * vec) / norm
@@ -183,7 +184,7 @@ def mk_optimize(state, restarts: int = MK_RESTARTS_DEFAULT, seed: int = 0,
     starts = np.random.default_rng(seed).standard_normal((restarts, 2, 3, 3))
     if initial is not None:
         starts = np.concatenate([[[initial.a, initial.a_prime]], starts])
-    starts /= row_norm(starts)
+    starts = (starts / row_norm(starts)).swapaxes(1, 2).copy()  # party-major: p's pair is starts[:, p]
     t = np.einsum("iad,jbe,kcf,defabc->ijk", _PAULIS, _PAULIS, _PAULIS, rho.reshape((2,) * 6)).real
     maps = _party_maps(t)
     value = np.full(len(starts), -np.inf)
@@ -191,11 +192,11 @@ def mk_optimize(state, restarts: int = MK_RESTARTS_DEFAULT, seed: int = 0,
         for p in range(3):
             g = _party_rows(maps, starts, p)
             norm = row_norm(g)  # where 0, B_3 ignores the direction
-            np.divide(g, norm, out=starts[:, :, p], where=norm > 0)
+            np.divide(g, norm, out=starts[:, p], where=norm > 0)
         old, value = value, 0.5 * norm.sum(axis=(1, 2))  # (|u| + |v|) / 2 after the last party
         if np.max(value - old) <= _SEESAW_TOL:
             break
-    vec0 = starts[int(np.argmax(value))].reshape(6, 3)  # a's then a''s
+    vec0 = starts[int(np.argmax(value))].swapaxes(0, 1).reshape(6, 3)  # a's then a''s
     frame = np.stack(tangent_frame(vec0), axis=-1)
     res = minimize(_negative_mk_and_gradient, np.zeros(12), args=(maps, vec0, frame))
     vec = _chart_directions(res.x, vec0, frame)[0][0]  # (6, 3): a batch of one point

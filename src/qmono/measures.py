@@ -311,9 +311,9 @@ def _site_marginals(x, sites) -> list:
 
 
 def _concurrence_sq(w) -> np.ndarray:
-    """Rank-2 Wootters C^2 of rho = V V^dagger, V[ab, e] = w[a, b, e], from contiguous (K,)
-    columns w[a, b, e] (e: the traced qubit).  tau = V^T (sy (x) sy) V is complex symmetric,
-    tau_cd = w01c w10d + w10c w01d - w00c w11d - w11c w00d, and its singular values are
+    """Rank-2 Wootters C^2 of rho = V V^dagger, V[ab, e] = w[a, b, e], from contiguous columns
+    w[a, b, e] of shape (K,) or (2, K) (e: the traced qubit).  tau = V^T (sy (x) sy) V is complex
+    symmetric, tau_cd = w01c w10d + w10c w01d - w00c w11d - w11c w00d, and its singular values are
     Wootters' l_i, so C^2 = ||tau||_F^2 - 2 |det tau| = |t00|^2 + |t11|^2 + 2 |t01|^2 - 2 |det tau|."""
 
     def tau(c, d):
@@ -337,7 +337,9 @@ def pure_scores_batch(amps: np.ndarray):
     ``_concurrence_sq``'s tau), so a state's scores are bit for bit the same in any batch.
     """
     x = _columns(amps)
-    c2_ab, c2_ac = _concurrence_sq(x), _concurrence_sq(np.swapaxes(x, 1, 2))  # C, then B traced
+    # C, then B traced, in one pass over (2, K) columns: 128 KB at K = _CHUNK, below the 256 KB
+    # from which numpy reuses temporaries in place and rounds differently
+    c2_ab, c2_ac = _concurrence_sq(np.stack([x, np.swapaxes(x, 1, 2)], axis=3))
     r00, r01, r11 = _site_marginals(x, (0,))[0]
     c2_a_bc = 4.0 * np.clip(r00 * r11 - _abs2(r01), 0.0, None)
     s_a, cond_ab, cond_ac = binary_entropy(_smaller_eig(np.stack([c2_a_bc, c2_ac, c2_ab])))

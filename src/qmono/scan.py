@@ -194,10 +194,10 @@ def grid_scan(
     return replace(table, mk=mk)
 
 
-# States per midpoint-tree call, over all brackets.  A kernel call's fixed cost
-# (150-250 us) is that of 80-120 states (2-3 us each), so a tree within this budget
-# costs at most one call saved: 6 levels per call at 1 bracket, 5 at 2-3, 4 at 4-6,
-# 3 at 7-14, 2 at 15-33 and 1 (plain bisection) from 34 brackets on.
+# States per midpoint-tree call, over all brackets.  A ghz-sym kernel call's fixed cost
+# (115-160 us on one 2-core x86 thread) is that of 250-450 states (0.35-0.45 us each), so a
+# tree within this budget costs less than the call it saves: 6 levels per call at 1 bracket,
+# 5 at 2-3, 4 at 4-6, 3 at 7-14, 2 at 15-33 and 1 (plain bisection) from 34 brackets on.
 _TREE_STATES = 100
 _MAX_ROUNDS = 64  # bisection levels at most: 2^-64 of a bracket is below its float spacing away from 0
 
@@ -247,14 +247,15 @@ def _bracket_and_bisect(family, base, axis_idx, xs, noise_floor, xtol: float, fi
     """The bracketed rows of ``base`` and their final ``lo, hi, f_lo, f_hi`` along column
     ``axis_idx``: one kernel call presamples every row at ``xs``, and each sign change
     ``_sign_changes`` keeps (a row's first only, with ``first_only``) is a bracket; with
-    none, all are empty after that call.  Then one kernel call evaluates the next
-    ``depth`` levels of every bracket's midpoint tree (2^depth - 1 points, each
-    (a + b) / 2 of its node's interval); ``depth`` is the most that keeps a call within
-    ``_TREE_STATES`` states, and at least 1.  The walk down keeps [lo, mid] where
-    f_lo * f_mid <= 0, else [mid, hi], all brackets in lockstep while max(hi - lo) >
-    xtol, for at most ``_MAX_ROUNDS`` levels: every mid, f-value and bracket is scalar
-    bisection's.  It stops early once no midpoint lies strictly inside its bracket,
-    since later rounds would move none.
+    none, all are empty after that call.  Then each bracket's next ``depth`` levels of
+    midpoints form one sorted row of 2^depth + 1 ends, each new end (a + b) / 2 of its
+    neighbours, and one kernel call evaluates every row's 2^depth - 1 interior ends into a
+    second array beside f_lo and f_hi; ``depth`` is the most that keeps a call within
+    ``_TREE_STATES`` states, and at least 1.  The walk down halves a width and keeps an
+    index per bracket: [lo, mid] where f_lo * f_mid <= 0, else [mid, hi], all brackets in
+    lockstep while max(hi - lo) > xtol, for at most ``_MAX_ROUNDS`` levels: every mid,
+    f-value and bracket is scalar bisection's.  It stops before the next tree once no
+    midpoint lies strictly inside its bracket, since later rounds would move none.
     """
     vals = _delta_along(family, base, axis_idx, np.broadcast_to(xs, (len(base), xs.size)))
     keep = _sign_changes(vals, noise_floor)
@@ -266,28 +267,22 @@ def _bracket_and_bisect(family, base, axis_idx, xs, noise_floor, xtol: float, fi
     lo, hi, f_lo, f_hi = xs[cols], xs[cols + 1], vals[rows, cols], vals[rows, cols + 1]
     if rows.size == 0:
         return rows, lo, hi, f_lo, f_hi
-    base, idx = base[rows], np.arange(rows.size)
+    base, n = base[rows], np.arange(rows.size)
     depth = max(1, (_TREE_STATES // lo.size + 1).bit_length() - 1)  # n (2^depth - 1) <= budget
     rounds = 0
     while np.max(hi - lo) > xtol and rounds < _MAX_ROUNDS:
-        if not np.any((lo < (lo + hi) / 2) & ((lo + hi) / 2 < hi)):
-            break  # every bracket is one float spacing wide
-        level = rounds % depth
-        if level == 0:  # level k is columns 2^k - 1 ...; node j's children are 2j and 2j + 1
-            a, b, mids = lo[:, None], hi[:, None], []
-            for _ in range(depth):
-                m = (a + b) / 2
-                mids.append(m)
-                a, b = (np.stack(ends, 2).reshape(lo.size, -1) for ends in ((a, m), (m, b)))
-            mids = np.concatenate(mids, axis=1)
-            f = _delta_along(family, base, axis_idx, mids)
-            node = np.zeros(lo.size, dtype=int)
-        col = 2**level - 1 + node
-        mid, f_mid = mids[idx, col], f[idx, col]
-        left = f_lo * f_mid <= 0
-        hi, f_hi = np.where(left, mid, hi), np.where(left, f_mid, f_hi)
-        lo, f_lo = np.where(left, lo, mid), np.where(left, f_lo, f_mid)
-        node = 2 * node + ~left
+        if rounds % depth == 0:
+            if not np.any((lo < (lo + hi) / 2) & ((lo + hi) / 2 < hi)):
+                break  # every bracket is one float spacing wide
+            ends = np.empty((lo.size, 2**depth + 1))
+            ends[:, 0], ends[:, -1] = lo, hi
+            for step in [2**k for k in range(depth, 0, -1)]:  # a level's ends, halfway between the last's
+                ends[:, step // 2 :: step] = (ends[:, :-1:step] + ends[:, step::step]) / 2
+            f = np.column_stack([f_lo, _delta_along(family, base, axis_idx, ends[:, 1:-1]), f_hi])
+            i, width = 0, 2**depth
+        width //= 2
+        i = i + width * (f_lo * f[n, i + width] > 0)  # the right half unless f_lo * f_mid <= 0
+        lo, hi, f_lo, f_hi = ends[n, i], ends[n, i + width], f[n, i], f[n, i + width]
         rounds += 1
     return rows, lo, hi, f_lo, f_hi
 

@@ -9,6 +9,8 @@ and ``path-ghz`` / ``path-w-ghz`` run from a fixed GHZ-class / W-class endpoint 
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .qcore import ZERO_NORM, PureState, UsageError
@@ -69,6 +71,18 @@ _PARAM_ENDS = {
     **dict.fromkeys(("alpha", "alpha1", "alpha2", "alpha3", "mu", "tau"), ("pi/2", np.pi / 2)),
 }
 _RANGE_SLACK = 1e-12  # a range end computed in floats misses it by ulps: 25 * (pi / 100) > pi / 4
+_BITS = (np.arange(8)[:, None] >> np.arange(2, -1, -1) & 1).astype(bool)  # [idx, j]: bit of qubit j
+
+
+@functools.cache
+def _path_ends(family: str) -> tuple[np.ndarray, np.ndarray]:
+    """A path family's normalized endpoint and |GHZ>, read-only, built on first use."""
+    kind, row = ("ghz", PATH_GHZ_ENDPOINT) if family == "path-ghz" else ("w", PATH_W_ENDPOINT)
+    end, ghz = family_states(kind, [row])[0], np.zeros(8, dtype=complex)
+    ghz[0] = ghz[7] = 1 / np.sqrt(2)
+    for v in (end, ghz):
+        v.setflags(write=False)
+    return end, ghz
 
 
 def family_params(family: str) -> tuple[str, ...]:
@@ -83,8 +97,8 @@ def family_states(family: str, rows) -> np.ndarray:
     """(K, 8) normalized amplitudes for parameter rows of a named family.
 
     The only implementation of each family formula; ``family_state`` is a batch of one.
-    The paths interpolate between their (normalized) endpoint and |GHZ>, then renormalize.
-    Rows are not range checked: a scan may run past a family's ranges.
+    The paths interpolate between their ``_path_ends``, then renormalize.  Rows are not
+    range checked: a scan may run past a family's ranges.
     """
     want = len(family_params(family))
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -92,35 +106,22 @@ def family_states(family: str, rows) -> np.ndarray:
         raise ValueError(f"family {family!r} takes {want} parameters per row")
     if not np.isfinite(rows).all():
         raise ValueError("family parameters must be finite")
-    k = rows.shape[0]
     if family in ("ghz", "ghz-sym"):
         theta, kappa = rows[:, 0], rows[:, 1]
         al = rows[:, 2][:, None].repeat(3, axis=1) if family == "ghz-sym" else rows[:, 2:5]
-        cos_a, sin_a = np.cos(al), np.sin(al)
-        amps = np.empty((k, 8), dtype=complex)
-        branch = np.empty((k, 8))
-        for idx in range(8):
-            bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
-            cols = [sin_a[:, j] if b else cos_a[:, j] for j, b in enumerate(bits)]
-            branch[:, idx] = cols[0] * cols[1] * cols[2]
-        amps[:] = (np.exp(1j * kappa) * np.sin(theta))[:, None] * branch
+        f = np.where(_BITS, np.sin(al)[:, None], np.cos(al)[:, None])  # [k, idx, j]: qubit j's factor
+        amps = (np.exp(1j * kappa) * np.sin(theta))[:, None] * (f[..., 0] * f[..., 1] * f[..., 2])
         amps[:, 0] += np.cos(theta)
     elif family == "w":
         t1, t2, t3, p1, p2, p3 = rows.T
-        amps = np.zeros((k, 8), dtype=complex)
+        amps = np.zeros((len(rows), 8), dtype=complex)
         amps[:, 0b000] = np.cos(t1 / 2)
         amps[:, 0b001] = np.sin(t1 / 2) * np.sin(t2 / 2) * np.cos(t3 / 2) * np.exp(1j * p1)
         amps[:, 0b010] = np.sin(t1 / 2) * np.sin(t2 / 2) * np.sin(t3 / 2) * np.exp(1j * p2)
         amps[:, 0b100] = np.sin(t1 / 2) * np.cos(t2 / 2) * np.exp(1j * p3)
     else:
-        if family == "path-ghz":
-            end = family_states("ghz", [PATH_GHZ_ENDPOINT])[0]
-        else:
-            end = family_states("w", [PATH_W_ENDPOINT])[0]
-        ghz = np.zeros(8, dtype=complex)
-        ghz[0] = ghz[7] = 1 / np.sqrt(2)
-        mu = rows[:, 0]
-        amps = np.cos(mu)[:, None] * end[None, :] + np.sin(mu)[:, None] * ghz[None, :]
+        end, ghz = _path_ends(family)
+        amps = np.cos(rows[:, :1]) * end + np.sin(rows[:, :1]) * ghz
     norms = np.linalg.norm(amps, axis=1)
     zero = norms < ZERO_NORM
     if np.any(zero):

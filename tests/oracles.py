@@ -108,3 +108,21 @@ def mk_operator_recursion(settings) -> np.ndarray:
         s, d = sigma(av) + sigma(apv), sigma(av) - sigma(apv)
         b, bp = (np.kron(b, s) + np.kron(bp, d)) / 2, (np.kron(bp, s) - np.kron(b, d)) / 2
     return b
+
+
+def two_branch_amplitudes(family: str, rows) -> np.ndarray:
+    """(K, 8) normalized amplitudes of the ``ghz`` or ``ghz-sym`` family by eight passes, one per
+    basis state |idx>: its branch amplitude multiplies each qubit's cos or sin factor in qubit
+    order.  It reads no bit table, so it checks ``states.family_states``."""
+    rows = np.asarray(rows, dtype=float)
+    theta, kappa = rows[:, 0], rows[:, 1]
+    al = rows[:, 2][:, None].repeat(3, axis=1) if family == "ghz-sym" else rows[:, 2:5]
+    cos_a, sin_a = np.cos(al), np.sin(al)
+    branch = np.empty((len(rows), 8))
+    for idx in range(8):
+        bits = ((idx >> 2) & 1, (idx >> 1) & 1, idx & 1)
+        cols = [sin_a[:, j] if b else cos_a[:, j] for j, b in enumerate(bits)]
+        branch[:, idx] = cols[0] * cols[1] * cols[2]
+    amps = (np.exp(1j * kappa) * np.sin(theta))[:, None] * branch
+    amps[:, 0] += np.cos(theta)
+    return amps / np.linalg.norm(amps, axis=1)[:, None]

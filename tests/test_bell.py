@@ -248,12 +248,12 @@ class TestPartyMaps:
             maps = bell._party_maps(correlation_tensor(state))
             for _ in range(3):
                 settings = random_settings(rng)
-                s = np.array([settings.a, settings.a_prime])[None]  # (1, 2, 3 parties, 3)
+                s = np.array([settings.a, settings.a_prime]).swapaxes(0, 1)[None]  # (1, 3 parties, 2, 3)
                 want = mk_expectation(state, settings)
                 every = bell._party_rows(maps, s, np.arange(3))[0]  # all parties, as the polish asks
                 for p in range(3):
                     u, v = bell._party_rows(maps, s, p)[0]
-                    got = (s[0, 0, p] @ u + s[0, 1, p] @ v) / 2
+                    got = (s[0, p, 0] @ u + s[0, p, 1] @ v) / 2
                     assert abs(got - want) <= 1e-12
                     np.testing.assert_array_equal(every[p], [u, v])
 

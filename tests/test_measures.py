@@ -201,6 +201,20 @@ def _mp_concurrence_sq_ac(mpmath, amps):
     return max(lam[0] - lam[1] - lam[2] - lam[3], 0) ** 2
 
 
+@pytest.mark.parametrize("k", [1, 13, measures._CHUNK, measures._CHUNK + 1, 20_000])
+def test_one_pass_concurrences_equal_two_calls(k):
+    # both traced qubits in one stacked pass give each chunk's two separate passes, bit for bit
+    amps = haar_random_amplitudes(k, 41)
+    got = pure_scores_batch(amps)[5:7]
+    want = [[], []]
+    for i in range(0, k, measures._CHUNK):
+        x = measures._columns(amps[i : i + measures._CHUNK])
+        want[0].append(measures._concurrence_sq(x))
+        want[1].append(measures._concurrence_sq(np.swapaxes(x, 1, 2)))
+    for g, w in zip(got, want):
+        assert g.tobytes() == np.concatenate(w).tobytes()
+
+
 class TestEoFPrecision:
     """E_f and the kernel's S(A|B) keep their relative precision as the concurrence goes to 0."""
 

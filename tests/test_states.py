@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qmono import states
 from qmono.measures import concurrence
 from qmono.qcore import ZERO_NORM, PureState, partial_trace
 from qmono.states import (
@@ -15,6 +16,8 @@ from qmono.states import (
     symmetric_concurrence_closed_form,
     w_state,
 )
+
+from oracles import two_branch_amplitudes
 
 
 class TestGHZClass:
@@ -141,11 +144,38 @@ class TestPaths:
             psi = family_state(path, np.pi / 4)
             assert_allclose(np.linalg.norm(psi.amplitudes), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("family, kind, row", [("path-ghz", "ghz", PATH_GHZ_ENDPOINT),
+                                                   ("path-w-ghz", "w", PATH_W_ENDPOINT)])
+    def test_interpolates_a_fresh_endpoint_bit_for_bit(self, family, kind, row):
+        mu = np.append(np.linspace(0.0, np.pi / 2, 41), np.random.default_rng(3).uniform(0, 2, 200))[:, None]
+        ghz = np.zeros(8, dtype=complex)
+        ghz[[0, 7]] = 1 / np.sqrt(2)
+        want = np.cos(mu) * family_states(kind, [row])[0] + np.sin(mu) * ghz
+        want /= np.linalg.norm(want, axis=1)[:, None]
+        assert family_states(family, mu).tobytes() == want.tobytes()
+        for cached in states._path_ends(family):  # built once, so no caller may write to them
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             family_state("path-ghz", -0.1)
         with pytest.raises(ValueError):
             family_state("path-w-ghz", 2.0)
+
+
+@pytest.mark.parametrize("family", ["ghz", "ghz-sym"])
+def test_two_branch_families_equal_the_eight_pass_oracle(family):
+    # random rows over and past the ranges, then the theta = 0 face and each alpha_j = 0 face
+    rng = np.random.default_rng(17)
+    n_alpha = 3 if family == "ghz" else 1
+    rows = rng.uniform(-1.0, 7.0, (12_000, 2 + n_alpha))
+    rows[:1000, 0] = 0.0
+    for j in range(n_alpha):
+        rows[1000 * (j + 1) : 1000 * (j + 2), 2 + j] = 0.0
+    rows[-500:, 2:] = 0.0
+    assert family_states(family, rows).tobytes() == two_branch_amplitudes(family, rows).tobytes()
 
 
 class TestHaar:
