@@ -267,7 +267,7 @@ def _bracket_and_bisect(family, base, axis_idx, xs, noise_floor, xtol: float, fi
     lo, hi, f_lo, f_hi = xs[cols], xs[cols + 1], vals[rows, cols], vals[rows, cols + 1]
     if rows.size == 0:
         return rows, lo, hi, f_lo, f_hi
-    base, n = base[rows], np.arange(rows.size)
+    base, idx = base[rows], np.arange(rows.size)
     depth = max(1, (_TREE_STATES // lo.size + 1).bit_length() - 1)  # n (2^depth - 1) <= budget
     rounds = 0
     while np.max(hi - lo) > xtol and rounds < _MAX_ROUNDS:
@@ -281,8 +281,8 @@ def _bracket_and_bisect(family, base, axis_idx, xs, noise_floor, xtol: float, fi
             f = np.column_stack([f_lo, _delta_along(family, base, axis_idx, ends[:, 1:-1]), f_hi])
             i, width = 0, 2**depth
         width //= 2
-        i = i + width * (f_lo * f[n, i + width] > 0)  # the right half unless f_lo * f_mid <= 0
-        lo, hi, f_lo, f_hi = ends[n, i], ends[n, i + width], f[n, i], f[n, i + width]
+        i = i + width * (f_lo * f[idx, i + width] > 0)  # the right half unless f_lo * f_mid <= 0
+        lo, hi, f_lo, f_hi = ends[idx, i], ends[idx, i + width], f[idx, i], f[idx, i + width]
         rounds += 1
     return rows, lo, hi, f_lo, f_hi
 
